@@ -3,7 +3,7 @@
 Subcommands mirror the library layers: ``bell`` (one polynomial value),
 ``useries`` (potential coefficients by both routes, or a numeric point
 check), ``hr`` (block-scale constants), ``scan`` (sign scan over r, with
-a concurrent ``--grid`` variant over several q), ``blocks`` (the
+a ``--grid`` variant that scans several q in turn), ``blocks`` (the
 projective-space block demonstration).
 
 Exact quantities are printed as ``p/q``. Exit codes: 0 success, 1 usage
@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -174,8 +175,8 @@ def _cmd_useries(args) -> int:
 
 def _useries_eval(params: CalabiParams, args) -> int:
     x = args.eval_point
-    if x < 0:
-        raise UsageError(f"--eval point must be >= 0, got {x}")
+    if not (math.isfinite(x) and x >= 0):
+        raise UsageError(f"--eval point must be a finite number >= 0, got {x}")
     evaluator = ClosedFormEvaluator(params)
     value, residue = evaluator.u_with_residue(x)
     report = evaluator.condition_report(x)
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     q_or_grid = p_scan.add_mutually_exclusive_group(required=True)
     q_or_grid.add_argument("--q", type=_rational_arg, help="twist ratio m/k0, p/q > 0")
     q_or_grid.add_argument(
-        "--grid", type=_rational_list_arg, help="comma-separated q values, scanned concurrently"
+        "--grid", type=_rational_list_arg, help="comma-separated q values, scanned in turn"
     )
     p_scan.add_argument("--rmax", type=int, default=200, help="scan cap (default 200)")
     add_format(p_scan)

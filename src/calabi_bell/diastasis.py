@@ -14,7 +14,6 @@ the first r where the scale, hence the block, goes negative.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,13 +78,11 @@ def monomial_indices(d: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("d must be >= 1")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    return tuple(
-        sorted(
-            alpha
-            for alpha in itertools.product(range(cutoff + 1), repeat=d)
-            if 1 <= sum(alpha) <= cutoff
-        )
-    )
+    # Extending sorted prefixes in increasing order keeps them sorted.
+    indices: list[tuple[int, ...]] = [()]
+    for _ in range(d):
+        indices = [alpha + (a,) for alpha in indices for a in range(cutoff - sum(alpha) + 1)]
+    return tuple(indices[1:])  # the first is the all-zero index
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,10 @@ S(n, q, r) carries (up to the positive factor (c k0)^r / r!) the sign of
 the block-scale constant h_r at m/k0 = q, so a negative S at some r is
 exactly a negative block. ``min_negative_r`` scans r = 1, 2, ... and
 reports the first sign failure with the full row history.
+
+The scan takes its rows from the exponential formula S(n, q, r) =
+r! [t^r] exp(-q X(-t)), X(t) = sum_l x_l t^l / l!, in O(r^2) (``_s_rows``);
+``alternating_bell_sum`` (the Bell triangle, O(r^3)) is its oracle.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bell import BellTable
-from .rationals import Rational, format_rational, parse_rational
+from .bell import BellConsistencyError, BellTable
+from .rationals import Rational, binomial, format_rational, parse_rational
 
 __all__ = [
     "normalized_term",
@@ -32,6 +37,9 @@ __all__ = [
     "scan_grid",
     "q_decomposition",
 ]
+
+# Scans re-derive a last row up to this r by the O(r^3) Bell triangle.
+BELL_RECHECK_MAX_R = 40
 
 
 def _check_n(n: int) -> None:
@@ -71,8 +79,9 @@ def alternating_bell_sum(
 ) -> Fraction:
     """S(n, q, r) = (-1)^r sum_{j=1}^{r} (-q)^j B_{r,j}(x_1..x_r).
 
-    Pass a ``table`` built over ``normalized_term(n, .)`` to amortize the
-    Bell triangle across many r (what the scanner does).
+    The defining sum over the Bell triangle, O(r^3): the oracle for the
+    scan's recurrence. Pass a ``table`` built over
+    ``normalized_term(n, .)`` to amortize the triangle across many r.
     """
     _check_n(n)
     q = _check_q(q)
@@ -144,43 +153,50 @@ class ScanReport:
         return buffer.getvalue()
 
 
+def _s_rows(n: int, q: Fraction, r_max: int) -> Iterator[Fraction]:
+    """S(n, q, 1..r_max): S_k = sum_{i<=k} C(k-1, i-1) z_i S_{k-i}, z_i = -q (-1)^i x_i."""
+    zs: list[Fraction] = []
+    s = [Fraction(1)]
+    for k in range(1, r_max + 1):
+        zs.append((q if k % 2 else -q) * normalized_term(n, k))
+        s.append(sum(binomial(k - 1, i - 1) * zs[i - 1] * s[k - i] for i in range(1, k + 1)))
+        yield s[k]
+
+
 def min_negative_r(n: int, q: Rational | int, r_max: int = 200) -> ScanReport:
     """Scan r = 1, 2, ... for the first negative S(n, q, r).
 
     Stops at the witness (inclusive) or at r_max. Exact arithmetic
-    throughout; the returned rows are the full audit trail.
+    throughout; the returned rows are the full audit trail. A last row
+    with r <= ``BELL_RECHECK_MAX_R`` is re-derived through the Bell
+    triangle; a disagreement raises ``BellConsistencyError``.
     """
     _check_n(n)
     q = _check_q(q)
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    table = BellTable(lambda l: normalized_term(n, l))
     rows = []
     witness = None
-    for r in range(1, r_max + 1):
-        value = alternating_bell_sum(n, q, r, table)
+    for r, value in enumerate(_s_rows(n, q, r_max), 1):
         rows.append((r, value))
         if value < 0:
             witness = r
             break
+    last_r, last = rows[-1]
+    if last_r <= BELL_RECHECK_MAX_R:
+        expected = alternating_bell_sum(n, q, last_r)
+        if last != expected:
+            raise BellConsistencyError(
+                f"S({n}, {q}, {last_r}) = {last} disagrees with the Bell triangle value {expected}"
+            )
     return ScanReport(n=n, q=q, r_max=r_max, rows=tuple(rows), min_negative_r=witness)
 
 
-def scan_grid(
-    n: int, qs: list[Rational | int], r_max: int = 200, max_workers: int | None = None
-) -> list[ScanReport]:
-    """Independent scans for several q values, concurrently, order kept.
-
-    Each scan owns its Bell table, so there is no shared state beyond the
-    immutable inputs.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
+def scan_grid(n: int, qs: list[Rational | int], r_max: int = 200) -> list[ScanReport]:
+    """``min_negative_r`` for several q values, one after another, in
+    input order. Every q is validated before the first scan starts."""
     checked = [_check_q(q) for q in qs]
-    if not checked:
-        return []
-    with ThreadPoolExecutor(max_workers=max_workers or min(8, len(checked))) as pool:
-        return list(pool.map(lambda q: min_negative_r(n, q, r_max), checked))
+    return [min_negative_r(n, q, r_max) for q in checked]
 
 
 def q_decomposition(q: Rational | int) -> tuple[int, int]:

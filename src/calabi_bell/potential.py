@@ -23,18 +23,18 @@ closed form numerically:
   raises rather than silently returning a wrong branch);
 * ``h_r`` / ``h_values``: the exact constants
   h_r = (1/r!) sum_j m^j B_{r,j}(a_1..a_r) that scale the degree-r
-  blocks in the diastasis expansion of e^{m u} - 1.
+  blocks in the diastasis expansion of e^{m u} - 1, read off exp_of(m u).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bell import BellTable
 from .rationals import Rational, factorial
-from .series import TruncatedSeries
+from .series import TruncatedSeries, exp_of
 
 __all__ = [
     "CalabiParams",
@@ -232,17 +232,8 @@ class HrValue:
     value: Fraction
 
 
-def _h_from_table(table: BellTable, m: Fraction, r: int) -> Fraction:
-    acc = Fraction(0)
-    m_power = Fraction(1)
-    for j in range(1, r + 1):
-        m_power *= m
-        acc += m_power * table.value(r, j)
-    return acc / factorial(r)
-
-
 def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[HrValue, ...]:
-    """h_1..h_{r_max} sharing one coefficient sequence and one Bell table.
+    """h_1..h_{r_max}: the coefficients of exp_of(m * taylor_series(u)), O(r_max^2).
 
     h_r = (1/r!) sum_{j=1}^{r} m^j B_{r,j}(a_1, ..., a_r); these are the
     r-th Taylor coefficients of e^{m u(x)} at 0, i.e. the scales of the
@@ -253,9 +244,8 @@ def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[HrVal
         raise ValueError(f"m must be positive, got {m}")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    seq = u_coeffs(params, r_max)
-    table = BellTable(seq.values)
-    return tuple(HrValue(r, m, _h_from_table(table, m, r)) for r in range(1, r_max + 1))
+    exp_mu = exp_of(m * taylor_series(u_coeffs(params, r_max)))
+    return tuple(HrValue(r, m, exp_mu.coefficient(r)) for r in range(1, r_max + 1))
 
 
 def h_r(params: CalabiParams, m: Rational | int, r: int) -> HrValue:
@@ -310,8 +300,8 @@ class ClosedFormEvaluator:
         self._weights = tuple((1 - root) / self._k0 for root in self._roots)
 
     def _t(self, x: float) -> float:
-        if x < 0:
-            raise ValueError(f"the potential is defined for x >= 0, got {x}")
+        if not (math.isfinite(x) and x >= 0):
+            raise ValueError(f"the potential is defined for finite x >= 0, got {x}")
         return (1.0 + self._slope * x) ** (1.0 / self._n)
 
     def _guard(self, value: complex, x: float, what: str) -> tuple[float, float]:

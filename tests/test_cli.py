@@ -134,6 +134,15 @@ class TestUseries:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
+    def test_non_finite_eval_is_usage_error(self, capsys, point):
+        code, out, err = run_cli(
+            capsys, "useries", "--n", "2", "--k0", "2", "--c", "1", f"--eval={point}"
+        )
+        assert code == 1
+        assert out == ""
+        assert "--eval point must be a finite number" in err
+
     def test_bad_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "useries", "--n", "1", "--k0", "2", "--c", "1", "--order", "2")
         assert code == 1

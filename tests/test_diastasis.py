@@ -2,6 +2,7 @@
 integer and fractional powers, the exact PSD check (diagonal and dense),
 and the block scan on the projective line."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -63,6 +64,18 @@ class TestMonomialLayout:
         for d in (1, 2, 3):
             for cutoff in (1, 2, 4, 6):
                 assert len(monomial_indices(d, cutoff)) == comb(cutoff + d, d) - 1
+
+    def test_matches_product_and_filter(self):
+        for d in range(1, 6):
+            for cutoff in range(1, 7):
+                expected = tuple(
+                    sorted(
+                        alpha
+                        for alpha in itertools.product(range(cutoff + 1), repeat=d)
+                        if 1 <= sum(alpha) <= cutoff
+                    )
+                )
+                assert monomial_indices(d, cutoff) == expected
 
 
 class TestCoeffMatrix:

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from calabi_bell.bell import BellTable
+import calabi_bell.inequality as inequality_mod
+from calabi_bell.bell import BellConsistencyError, BellTable
+from calabi_bell.cli import main
 from calabi_bell.inequality import (
     ScanReport,
     alternating_bell_sum,
@@ -154,6 +156,40 @@ class TestScan:
     def test_csv_shape(self):
         text = min_negative_r(2, Fraction(1, 2), 10).to_csv()
         assert text.splitlines() == ["r,S", "1,1/2", "2,0", "3,1/4", "4,-1"]
+
+    def test_rows_match_bell_triangle(self):
+        # The exponential-formula rows against the defining sum, one Bell
+        # table per n shared by every q; several scans run past the r <= 40
+        # runtime re-check.
+        rng = random.Random(34)
+        tables = {}
+        longest = []
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            q = Fraction(rng.randint(1, 30 * n), rng.randint(1, 2))
+            table = tables.setdefault(n, BellTable(lambda l, n=n: normalized_term(n, l)))
+            report = min_negative_r(n, q, 70)
+            assert report.rows == tuple(
+                (r, alternating_bell_sum(n, q, r, table)) for r in range(1, len(report.rows) + 1)
+            )
+            longest.append(len(report.rows))
+        assert sum(rows > 40 for rows in longest) >= 3
+
+    def test_wrong_kernel_row_is_caught(self, monkeypatch, capsys):
+        exact_rows = inequality_mod._s_rows
+        monkeypatch.setattr(inequality_mod, "_s_rows", lambda *args: (s + 1 for s in exact_rows(*args)))
+        with pytest.raises(BellConsistencyError):
+            min_negative_r(2, Fraction(1, 2), 10)
+        assert main(["scan", "--n", "2", "--q", "3", "--rmax", "40"]) == 2
+        assert "internal consistency failure" in capsys.readouterr().err
+
+    def test_deep_scan_skips_bell_triangle(self, monkeypatch):
+        def no_triangle(*args, **kwargs):
+            raise AssertionError("the Bell triangle ran past the re-check bound")
+
+        monkeypatch.setattr(inequality_mod, "alternating_bell_sum", no_triangle)
+        report = min_negative_r(2, 30, 200)
+        assert report.min_negative_r == 50 > inequality_mod.BELL_RECHECK_MAX_R
 
     def test_grid_preserves_order_and_matches_single(self):
         qs = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]

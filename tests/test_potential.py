@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import calabi_bell.potential as potential_mod
+from calabi_bell.bell import BellTable
 from calabi_bell.potential import (
     BranchResidueError,
     CalabiParams,
@@ -197,6 +198,19 @@ class TestBlockConstants:
         for item in h_values(p, m, 8):
             assert item.value == series.coefficient(item.r)
 
+    def test_h_matches_bell_sum(self):
+        # h_r = (1/r!) sum_j m^j B_{r,j}(a_1..a_r), read from a Bell table.
+        cases = [
+            (CalabiParams(2, 2, 1), Fraction(1)),
+            (CalabiParams(3, Fraction(4, 3), Fraction(5, 2)), Fraction(3, 2)),
+            (CalabiParams(5, 6, Fraction(1, 3)), Fraction(7, 2)),
+        ]
+        for p, m in cases:
+            table = BellTable(u_coeffs_closed(p, 30).values)
+            for item in h_values(p, m, 30):
+                bell_sum = sum(m**j * table.value(item.r, j) for j in range(1, item.r + 1))
+                assert item.value == bell_sum / math.factorial(item.r)
+
     def test_validation(self):
         p = CalabiParams(2, 2, 1)
         with pytest.raises(ValueError):
@@ -273,6 +287,13 @@ class TestEvaluator:
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             ClosedFormEvaluator(CalabiParams(2, 2, 1)).u(-0.5)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, x):
+        ev = ClosedFormEvaluator(CalabiParams(2, 2, 1))
+        for method in (ev.u, ev.derivatives, ev.condition_report):
+            with pytest.raises(ValueError, match="finite"):
+                method(x)
 
     def test_branch_guard_trips_on_tiny_tolerance(self):
         p = CalabiParams(3, 2, 1)
