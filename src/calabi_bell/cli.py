@@ -178,8 +178,11 @@ def _useries_eval(params: CalabiParams, args) -> int:
     if not (math.isfinite(x) and x >= 0):
         raise UsageError(f"--eval point must be a finite number >= 0, got {x}")
     evaluator = ClosedFormEvaluator(params)
-    value, residue = evaluator.u_with_residue(x)
-    report = evaluator.condition_report(x)
+    try:
+        value, residue = evaluator.u_with_residue(x)
+        report = evaluator.condition_report(x)
+    except ValueError as exc:
+        raise UsageError(f"--eval point {x!r} is out of range: {exc}") from None
     if args.format == "json":
         _print_json(
             {

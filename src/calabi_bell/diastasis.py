@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .potential import CalabiParams, HrValue, h_values
 from .rationals import Rational, factorial, format_rational, generalized_binomial
@@ -101,8 +102,16 @@ class CoeffMatrix:
     indices: tuple[tuple[int, ...], ...]
     entries: tuple[Fraction, ...]
 
+    @cached_property
+    def _positions(self) -> dict[tuple[int, ...], int]:
+        return {alpha: i for i, alpha in enumerate(self.indices)}
+
     def entry(self, alpha: tuple[int, ...]) -> Fraction:
-        return self.entries[self.indices.index(alpha)]
+        """The diagonal entry at z^alpha; ``ValueError`` if alpha is not an index."""
+        try:
+            return self.entries[self._positions[alpha]]
+        except KeyError:
+            raise ValueError(f"{alpha!r} is not an index of this matrix") from None
 
     def diagonal(self) -> tuple[Fraction, ...]:
         return self.entries

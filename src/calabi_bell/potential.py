@@ -13,8 +13,12 @@ closed form numerically:
 
 * ``u_coeffs_closed``: the explicit product formula for
   a_j = u^(j)(0), exact rationals;
-* ``u_coeffs_ode``: forward substitution on the truncated defining
-  condition, exact rationals, no knowledge of the product formula;
+* ``u_coeffs_ode``: forward substitution on the defining condition,
+  no knowledge of the product formula. With y = k0 c x and
+  u'(x) = c f(y) the condition becomes (1 + y f)^{n-1} (f + y f') = 1,
+  i.e. (1 + W)^{n-1} W' = 1 for W = y f, W(0) = 0; differentiated once,
+  W'' (1 + W) = -(n-1) W'^2. The derivatives d_r = W^(r+1)(0) obey an
+  all-integer recurrence (below), and a_j = c^j k0^{j-1} d_{j-1} / j;
 * ``u_coeffs``: both, with exact agreement enforced;
 * ``ClosedFormEvaluator``: double-precision values of u, u', u'' away
   from 0, via the n-th root t(x) = (1 + n k0 c x)^{1/n} and
@@ -153,30 +157,49 @@ def u_coeffs_closed(params: CalabiParams, order: int) -> CoefficientSequence:
 def u_coeffs_ode(params: CalabiParams, order: int) -> CoefficientSequence:
     """Derivatives at 0 by forward substitution on the defining condition.
 
-    Writing u'(x) = sum_{r>=0} v_r x^r, w = k0 x u' and P = (1 + w)^{n-1},
-    the condition P * (u' + x u'') = c matched at x^r gives
+    Substituting y = k0 c x and u'(x) = c f(y) turns the condition into
+    (1 + y f)^{n-1} (f + y f') = 1. With W = y f this reads
+    (1 + W)^{n-1} W' = 1, W(0) = 0, so W'(0) = 1; differentiated once,
 
-        r = 0:   v_0 = c
-        r >= 1:  (r + 1) v_r = - sum_{s=1}^{r} P_s (r - s + 1) v_{r-s},
+        W'' (1 + W) = -(n-1) W'^2.
 
-    where P is produced alongside by the logarithmic-derivative recurrence
-    r P_r = sum_{i=1}^{r} ((n-1) i - (r - i)) w_i P_{r-i}. The unknown
-    enters linearly with coefficient r + 1, so each step is one exact
-    division. a_j = (j-1)! v_{j-1}.
+    Leibniz's rule on both sides, in the exponential coefficients
+    d_r = W^(r+1)(0), d_0 = 1, gives
+
+        d_{r+1} = -(n-1) sum_{i=0}^{r} C(r,i) d_i d_{r-i}
+                  - sum_{i=0}^{r-1} C(r,i) d_{i+1} d_{r-1-i}.
+
+    Both sums run over the products d_k d_{r-k}: with g_k =
+    (n-1) C(r,k) + C(r,k-1), d_{r+1} = -sum_{k=0}^{r} g_k d_k d_{r-k},
+    and folding k with r - k halves the big-integer products. Every term
+    is an int; the binomial row is updated by Pascal's rule. Undoing the
+    substitution, a_j = c^j k0^{j-1} d_{j-1} / j: one exact division
+    per coefficient.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    top = order - 1
     alpha = params.n - 1
-    v = [params.c] + [Fraction(0)] * top
-    w = [Fraction(0)] * (top + 1)
-    p = [Fraction(1)] + [Fraction(0)] * top
-    for r in range(1, top + 1):
-        w[r] = params.k0 * v[r - 1]
-        p[r] = sum((alpha * i - (r - i)) * w[i] * p[r - i] for i in range(1, r + 1)) / r
-        v[r] = -sum(p[s] * (r - s + 1) * v[r - s] for s in range(1, r + 1)) / (r + 1)
-    values = tuple(factorial(j - 1) * v[j - 1] for j in range(1, order + 1))
-    return CoefficientSequence(params, values, "ode")
+    d = [1]
+    row = [1]  # C(r, 0..r)
+    for r in range(order - 1):
+        total = 0
+        for k in range(r // 2 + 1):
+            below = row[k - 1] if k else 0
+            if 2 * k < r:  # g_k + g_{r-k}
+                weight = 2 * alpha * row[k] + below + row[k + 1]
+            else:  # the middle term k = r/2 has no partner
+                weight = alpha * row[k] + below
+            total += weight * d[k] * d[r - k]
+        d.append(-total)
+        row = [1] + [row[i - 1] + row[i] for i in range(1, r + 1)] + [1]
+    step = params.k0 * params.c
+    num, den = params.c.numerator, params.c.denominator  # c (k0 c)^{j-1}
+    values = []
+    for j, d_j in enumerate(d, start=1):
+        values.append(Fraction(num * d_j, den * j))
+        num *= step.numerator
+        den *= step.denominator
+    return CoefficientSequence(params, tuple(values), "ode")
 
 
 def u_coeffs(params: CalabiParams, order: int) -> CoefficientSequence:
@@ -208,9 +231,10 @@ def condition_series_residual(params: CalabiParams, order: int) -> TruncatedSeri
     """(1 + k0 x u')^{n-1} (u' + x u'') - c as an exact truncated series.
 
     Built from the forward-substitution coefficients with the generic
-    series arithmetic (an independent re-expansion of the condition);
-    identically zero through the requested order when the solver is
-    consistent.
+    series arithmetic: an independent re-expansion of the original,
+    untransformed condition, so it also checks the change of variables
+    inside ``u_coeffs_ode``. Identically zero through the requested order
+    when the solver is consistent.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -284,7 +308,8 @@ class ClosedFormEvaluator:
     imaginary parts cancel in conjugate pairs. The leftover imaginary
     residue is checked against ``imag_tol`` on every call; exceeding it
     means a branch was crossed and raises ``BranchResidueError`` instead
-    of returning a silently wrong value.
+    of returning a silently wrong value. An x whose radicand or value of
+    u, u' or u'' does not fit in a double raises ``ValueError``.
     """
 
     def __init__(self, params: CalabiParams, imag_tol: float = 1e-10):
@@ -302,11 +327,16 @@ class ClosedFormEvaluator:
     def _t(self, x: float) -> float:
         if not (math.isfinite(x) and x >= 0):
             raise ValueError(f"the potential is defined for finite x >= 0, got {x}")
-        return (1.0 + self._slope * x) ** (1.0 / self._n)
+        radicand = 1.0 + self._slope * x
+        if not math.isfinite(radicand):
+            raise ValueError(f"the radicand 1 + n k0 c x overflows a double at x={x}")
+        return radicand ** (1.0 / self._n)
 
     def _guard(self, value: complex, x: float, what: str) -> tuple[float, float]:
+        if not math.isfinite(value.real):
+            raise ValueError(f"{what} is not a finite double at x={x}")
         residue = abs(value.imag)
-        if residue > self.imag_tol:
+        if not residue <= self.imag_tol:  # a NaN residue fails too
             raise BranchResidueError(
                 f"imaginary residue {residue:.3e} in {what} at x={x} "
                 f"exceeds tolerance {self.imag_tol:.1e}"

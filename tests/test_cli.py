@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+import calabi_bell.potential as potential_mod
 from calabi_bell.cli import main
 from calabi_bell.inequality import ScanReport, min_negative_r
+from calabi_bell.potential import CoefficientSequence
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +145,41 @@ class TestUseries:
         assert out == ""
         assert "--eval point must be a finite number" in err
 
+    @pytest.mark.parametrize("n", ["2", "3"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_overflowing_eval_is_usage_error(self, capsys, n, fmt):
+        code, out, err = run_cli(
+            capsys, "useries", "--n", n, "--k0", "2", "--c", "1", "--eval", "1e308", "--format", fmt
+        )
+        assert code == 1
+        assert out == ""
+        assert "--eval point 1e+308 is out of range" in err
+
+    def test_large_finite_eval_unchanged(self, capsys):
+        args = ("useries", "--n", "2", "--k0", "2", "--c", "1", "--eval", "1e200")
+        expected = {
+            "table": (
+                "u(1e+200) = 2e+100\n"
+                "imaginary_residue = 1.4038034979540477e-14\n"
+                "horizontal_factor = 2e+100\n"
+                "fiber_factor = 5e-101\n"
+                "ode_residual = 0.0\n"
+            ),
+            "json": (
+                '{\n  "n": 2,\n  "k0": "2",\n  "c": "1",\n  "x": 1e+200,\n  "u": 2e+100,\n'
+                '  "imaginary_residue": 1.4038034979540477e-14,\n  "horizontal_factor": 2e+100,\n'
+                '  "fiber_factor": 5e-101,\n  "ode_residual": 0.0\n}\n'
+            ),
+            "csv": (
+                "x,u,imaginary_residue,horizontal_factor,fiber_factor,ode_residual\n"
+                "1e+200,2e+100,1.4038034979540477e-14,2e+100,5e-101,0.0\n"
+            ),
+        }
+        for fmt, text in expected.items():
+            code, out, _ = run_cli(capsys, *args, "--format", fmt)
+            assert code == 0
+            assert out == text, fmt
+
     def test_bad_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "useries", "--n", "1", "--k0", "2", "--c", "1", "--order", "2")
         assert code == 1
@@ -191,6 +228,33 @@ class TestHr:
             capsys, "hr", "--n", "2", "--k0", "2", "--c", "1", "--m", "1", "--r", "2", "--rmax", "4"
         )
         assert code == 1
+
+
+class TestCoefficientMismatch:
+    @pytest.fixture(autouse=True)
+    def corrupt_closed_route(self, monkeypatch):
+        real = potential_mod.u_coeffs_closed
+
+        def corrupted(params, order):
+            good = real(params, order)
+            values = good.values[:-1] + (good.values[-1] + 1,)
+            return CoefficientSequence(params, values, "closed-form")
+
+        monkeypatch.setattr(potential_mod, "u_coeffs_closed", corrupted)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("useries", "--n", "3", "--k0", "2", "--c", "1", "--order", "5", "--method", "both"),
+            ("hr", "--n", "3", "--k0", "2", "--c", "1", "--m", "1", "--rmax", "5"),
+        ],
+    )
+    def test_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "internal consistency failure" in err
+        assert "j=5" in err
 
 
 class TestScan:

@@ -100,6 +100,13 @@ class TestCoeffMatrix:
         assert matrix.entry((2, 0)) == 1
         assert matrix.entry((0, 2)) == 1
 
+    def test_entry_at_every_index(self):
+        matrix = fs_power_matrix(3, Fraction(5, 2), 5)
+        for position, alpha in enumerate(matrix.indices):
+            assert matrix.entry(alpha) == matrix.entries[position]
+        with pytest.raises(ValueError):
+            matrix.entry((0, 0, 6))
+
     def test_matrix_reproduces_power_expansion(self):
         # Sum of entries at |alpha| = k must be the coefficient of s^k in
         # (1 + s)^N after substituting w_i -> s (all variables equal).

@@ -58,6 +58,20 @@ class TestParams:
         assert CalabiParams(4, 4, Fraction(1, 2)).radicand_slope == 8
 
 
+def _fraction_forward_substitution(p, order):
+    """Reference: u' = sum v_r x^r matched term by term in
+    (1 + k0 x u')^{n-1} (u' + x u'') = c, in exact rationals."""
+    top = order - 1
+    v = [p.c] + [Fraction(0)] * top
+    w = [Fraction(0)] * (top + 1)
+    power = [Fraction(1)] + [Fraction(0)] * top  # (1 + w)^{n-1}
+    for r in range(1, top + 1):
+        w[r] = p.k0 * v[r - 1]
+        power[r] = sum(((p.n - 1) * i - (r - i)) * w[i] * power[r - i] for i in range(1, r + 1)) / r
+        v[r] = -sum(power[s] * (r - s + 1) * v[r - s] for s in range(1, r + 1)) / (r + 1)
+    return tuple(math.factorial(j) * v[j] for j in range(order))
+
+
 class TestCoefficients:
     def test_frozen_first_five(self):
         seq = u_coeffs(CalabiParams(2, 2, 1), 5)
@@ -102,6 +116,25 @@ class TestCoefficients:
             ode = u_coeffs_ode(p, 64)
             assert closed.values == ode.values, f"disagreement at {p}"
 
+    def test_routes_agree_to_order_300(self):
+        for n in range(2, 7):
+            for k0, c in ((Fraction(7, 3), Fraction(5, 2)), (Fraction(5, 4), Fraction(9, 7))):
+                p = CalabiParams(n, k0, c)
+                assert u_coeffs_ode(p, 300).values == u_coeffs_closed(p, 300).values, p
+
+    def test_ode_matches_fraction_forward_substitution(self):
+        # The integer recurrence on W must give exactly what forward
+        # substitution on the untransformed condition gives, order by order.
+        rng = random.Random(24)
+        for _ in range(6):
+            n = rng.randint(2, 6)
+            k0 = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            p = CalabiParams(n, k0, c)
+            reference = _fraction_forward_substitution(p, 40)  # prefix-stable
+            for order in range(1, 41):
+                assert u_coeffs_ode(p, order).values == reference[:order], (p, order)
+
     def test_mismatch_is_a_hard_error(self, monkeypatch):
         p = CalabiParams(2, 2, 1)
         good = u_coeffs_closed(p, 4)
@@ -131,6 +164,14 @@ class TestConditionSeries:
             residual = condition_series_residual(p, 12)
             assert residual.order == 12
             assert residual.is_zero, f"nonzero residual for {p}"
+
+    def test_residual_vanishes_at_order_40(self):
+        for p in (
+            CalabiParams(2, Fraction(7, 3), Fraction(5, 2)),
+            CalabiParams(3, Fraction(4, 3), Fraction(5, 2)),
+            CalabiParams(5, Fraction(2, 9), Fraction(3, 4)),
+        ):
+            assert condition_series_residual(p, 40).is_zero, p
 
     def test_residual_catches_wrong_coefficients(self):
         # The same re-expansion with a perturbed sequence must not vanish:
@@ -294,6 +335,25 @@ class TestEvaluator:
         for method in (ev.u, ev.derivatives, ev.condition_report):
             with pytest.raises(ValueError, match="finite"):
                 method(x)
+
+    def test_overflowing_radicand_rejected(self):
+        for p in (CalabiParams(2, 2, 1), CalabiParams(3, 2, 1)):
+            ev = ClosedFormEvaluator(p)
+            for method in (ev.u, ev.derivatives, ev.condition_report):
+                with pytest.raises(ValueError, match="radicand"):
+                    method(1e308)
+
+    def test_overflowing_value_rejected(self):
+        # The radicand 1 + 2x stays finite, but n/k0 * t does not.
+        ev = ClosedFormEvaluator(CalabiParams(2, Fraction(1, 10**300), Fraction(10**300)))
+        for method in (ev.u, ev.derivatives, ev.condition_report):
+            with pytest.raises(ValueError, match="u is not a finite double"):
+                method(1e300)
+
+    def test_nan_residue_trips_the_guard(self):
+        ev = ClosedFormEvaluator(CalabiParams(2, 2, 1))
+        with pytest.raises(BranchResidueError):
+            ev._guard(complex(1.0, math.nan), 1.0, "u")
 
     def test_branch_guard_trips_on_tiny_tolerance(self):
         p = CalabiParams(3, 2, 1)
