@@ -7,9 +7,10 @@ a ``--grid`` variant that scans several q in turn), ``blocks`` (the
 projective-space block demonstration).
 
 Exact quantities are printed as ``p/q``. Exit codes: 0 success, 1 usage
-error (bad flags, malformed rationals, out-of-range values), 2 internal
-consistency failure (the cross-checking machinery caught a disagreement;
-this should never happen and is worth a bug report).
+error (bad flags, malformed rationals, out-of-range values, a request
+above a work ceiling), 2 internal consistency failure (the cross-checking
+machinery caught a disagreement; this should never happen and is worth a
+bug report).
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ __all__ = ["main", "build_parser"]
 
 FORMATS = ("table", "json", "csv")
 
+# Work ceilings, checked before any work starts: the largest r that
+# ``scan --rmax``, ``hr --r/--rmax`` and ``blocks --rmax`` accept, and the
+# largest monomial count C(cutoff + d, d) - 1 that ``blocks`` accepts.
+RMAX_CEILING = 1000
+INDEX_CEILING = 100_000
+
 
 class UsageError(Exception):
     """Invalid input caught after argparse; maps to exit code 1."""
@@ -73,6 +80,24 @@ def _require_positive(value: Fraction, name: str) -> Fraction:
     if value <= 0:
         raise UsageError(f"{name} must be positive, got {format_rational(value)}")
     return value
+
+
+def _check_rmax(value: int, name: str) -> None:
+    if value > RMAX_CEILING:
+        raise UsageError(f"{name} {value} is above the work ceiling RMAX_CEILING = {RMAX_CEILING}")
+
+
+def _check_index_count(d: int, cutoff: int) -> None:
+    """C(cutoff + d, d) - 1 <= INDEX_CEILING, by a product that stops as
+    soon as the count passes the ceiling (it grows with every factor)."""
+    count = 1
+    for k in range(1, min(d, cutoff) + 1):
+        count = count * (max(d, cutoff) + k) // k
+        if count - 1 > INDEX_CEILING:
+            raise UsageError(
+                f"--d {d} --cutoff {cutoff} gives more than {INDEX_CEILING} monomial indices,"
+                f" above the work ceiling INDEX_CEILING = {INDEX_CEILING}"
+            )
 
 
 def _print(text: str) -> None:
@@ -222,6 +247,7 @@ def _cmd_hr(args) -> int:
     r_max = args.r if args.r is not None else args.rmax
     if r_max < 1:
         raise UsageError(f"--r/--rmax must be >= 1, got {r_max}")
+    _check_rmax(r_max, "--r/--rmax")
     values = h_values(params, args.m, r_max)
     if args.r is not None:
         values = values[-1:]
@@ -267,6 +293,7 @@ def _cmd_scan(args) -> int:
         raise UsageError(f"--n must be >= 2, got {args.n}")
     if args.rmax < 1:
         raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
+    _check_rmax(args.rmax, "--rmax")
     if args.grid is not None:
         for q in args.grid:
             _require_positive(q, "--grid entries")
@@ -307,6 +334,8 @@ def _cmd_blocks(args) -> int:
         raise UsageError(f"--rmax must be >= 0, got {args.rmax}")
     if args.cutoff < 1:
         raise UsageError(f"--cutoff must be >= 1, got {args.cutoff}")
+    _check_rmax(args.rmax, "--rmax")
+    _check_index_count(args.d, args.cutoff)
     base = FubiniStudyBase(args.d, args.multiple)
     report = eh_block_scan(base, args.c, args.rmax, args.cutoff)
     if args.format == "json":

@@ -12,8 +12,14 @@ exactly a negative block. ``min_negative_r`` scans r = 1, 2, ... and
 reports the first sign failure with the full row history.
 
 The scan takes its rows from the exponential formula S(n, q, r) =
-r! [t^r] exp(-q X(-t)), X(t) = sum_l x_l t^l / l!, in O(r^2) (``_s_rows``);
-``alternating_bell_sum`` (the Bell triangle, O(r^3)) is its oracle.
+r! [t^r] Y(t), Y = exp(-q X(-t)), X(t) = sum_l x_l t^l / l!. Since
+t X'(t) = 1 - (1 - n t)^(1/n), Y satisfies t Y' = q (R - 1) Y with
+R = (1 + n t)^(1/n), whose exponential coefficients are integers; with
+q = a/b, ``_s_rows`` runs that recurrence on the integers m! b^m S_m in
+O(r^2) big-integer products, with no rational arithmetic until each row
+is reduced once. It never reads ``normalized_term``.
+``alternating_bell_sum`` (the Bell triangle over x_l, O(r^3)) is its
+oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bell import BellConsistencyError, BellTable
-from .rationals import Rational, binomial, format_rational, parse_rational
+from .rationals import Rational, format_rational, parse_rational
 
 __all__ = [
     "normalized_term",
@@ -154,22 +160,47 @@ class ScanReport:
 
 
 def _s_rows(n: int, q: Fraction, r_max: int) -> Iterator[Fraction]:
-    """S(n, q, 1..r_max): S_k = sum_{i<=k} C(k-1, i-1) z_i S_{k-i}, z_i = -q (-1)^i x_i."""
-    zs: list[Fraction] = []
-    s = [Fraction(1)]
-    for k in range(1, r_max + 1):
-        zs.append((q if k % 2 else -q) * normalized_term(n, k))
-        s.append(sum(binomial(k - 1, i - 1) * zs[i - 1] * s[k - i] for i in range(1, k + 1)))
-        yield s[k]
+    """S(n, q, 1..r_max), one row at a time, in Python ints.
+
+    Comparing t^m/m! coefficients in t Y' = q (R - 1) Y gives
+    m S_m = q sum_{i=1..m} C(m, i) rho_i S_{m-i}, where
+    rho_i = prod_{s<i} (1 - s n) are the exponential coefficients of
+    R = (1 + n t)^(1/n). With q = a/b and Y_m = m! b^m S_m (Y_0 = 1):
+
+        Y_m = a sum_{i=1..m} C(m, i) (m-1)!/(m-i)! rho_i b^(i-1) Y_{m-i},
+
+    all integers. Row m is the single reduction Y_m / (m! b^m).
+    """
+    a, b = q.numerator, q.denominator
+    weights = [0]  # weights[i] = rho_i b^(i-1)
+    ys = [1]  # ys[m] = Y_m
+    rho = 1
+    scale = 1  # m! b^m
+    for m in range(1, r_max + 1):
+        rho *= 1 - (m - 1) * n
+        weights.append(rho * b ** (m - 1))
+        acc = 0
+        coeff = m  # C(m, i) (m-1)!/(m-i)!, updated in i
+        for i in range(1, m + 1):
+            acc += coeff * weights[i] * ys[m - i]
+            coeff = coeff * (m - i) // (i + 1) * (m - i)
+        ys.append(a * acc)
+        scale *= m * b
+        yield Fraction(ys[m], scale)
 
 
-def min_negative_r(n: int, q: Rational | int, r_max: int = 200) -> ScanReport:
+def min_negative_r(
+    n: int, q: Rational | int, r_max: int = 200, table: BellTable | None = None
+) -> ScanReport:
     """Scan r = 1, 2, ... for the first negative S(n, q, r).
 
     Stops at the witness (inclusive) or at r_max. Exact arithmetic
     throughout; the returned rows are the full audit trail. A last row
     with r <= ``BELL_RECHECK_MAX_R`` is re-derived through the Bell
-    triangle; a disagreement raises ``BellConsistencyError``.
+    triangle; a disagreement raises ``BellConsistencyError``. As in
+    ``alternating_bell_sum``, a ``table`` built over
+    ``normalized_term(n, .)`` (the same n) lets many scans share one
+    triangle; without one, the re-check builds its own.
     """
     _check_n(n)
     q = _check_q(q)
@@ -184,7 +215,7 @@ def min_negative_r(n: int, q: Rational | int, r_max: int = 200) -> ScanReport:
             break
     last_r, last = rows[-1]
     if last_r <= BELL_RECHECK_MAX_R:
-        expected = alternating_bell_sum(n, q, last_r)
+        expected = alternating_bell_sum(n, q, last_r, table)
         if last != expected:
             raise BellConsistencyError(
                 f"S({n}, {q}, {last_r}) = {last} disagrees with the Bell triangle value {expected}"
@@ -194,9 +225,12 @@ def min_negative_r(n: int, q: Rational | int, r_max: int = 200) -> ScanReport:
 
 def scan_grid(n: int, qs: list[Rational | int], r_max: int = 200) -> list[ScanReport]:
     """``min_negative_r`` for several q values, one after another, in
-    input order. Every q is validated before the first scan starts."""
+    input order. Every q is validated before the first scan starts. The
+    scans share one Bell triangle for their r <= ``BELL_RECHECK_MAX_R``
+    re-checks, so it is built only up to the largest re-checked row."""
     checked = [_check_q(q) for q in qs]
-    return [min_negative_r(n, q, r_max) for q in checked]
+    table = BellTable(lambda l: normalized_term(n, l))
+    return [min_negative_r(n, q, r_max, table) for q in checked]
 
 
 def q_decomposition(q: Rational | int) -> tuple[int, int]:

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+import calabi_bell.cli as cli_mod
+import calabi_bell.inequality as inequality_mod
 import calabi_bell.potential as potential_mod
-from calabi_bell.cli import main
+from calabi_bell.cli import INDEX_CEILING, RMAX_CEILING, main
 from calabi_bell.inequality import ScanReport, min_negative_r
 from calabi_bell.potential import CoefficientSequence
 
@@ -368,6 +370,61 @@ class TestBlocks:
         code, _, err = run_cli(capsys, "blocks", "--d", "1", "--lambda", "0", "--c", "1")
         assert code == 1
         assert "--lambda must be >= 1" in err
+
+
+class TestWorkCeilings:
+    """A request above a ceiling is a usage error before any work starts;
+    these tests never run near a ceiling."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started above a ceiling")
+
+        monkeypatch.setattr(inequality_mod, "_s_rows", refuse)
+        for name in ("min_negative_r", "scan_grid", "h_values", "FubiniStudyBase", "eh_block_scan"):
+            monkeypatch.setattr(cli_mod, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--n", "2", "--q", "3", "--rmax", str(RMAX_CEILING + 1)),
+            ("scan", "--n", "2", "--grid", "1,2", "--rmax", str(10**30)),
+            ("hr", "--n", "2", "--k0", "2", "--c", "1", "--m", "1", "--r", str(RMAX_CEILING + 1)),
+            ("hr", "--n", "2", "--k0", "2", "--c", "1", "--m", "1", "--rmax", str(RMAX_CEILING + 1)),
+            ("blocks", "--d", "1", "--lambda", "2", "--c", "1", "--rmax", str(RMAX_CEILING + 1)),
+        ],
+    )
+    def test_rmax_above_ceiling(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"work ceiling RMAX_CEILING = {RMAX_CEILING}" in err
+
+    @pytest.mark.parametrize(
+        "d,cutoff",
+        [
+            (1, INDEX_CEILING + 1),  # C(cutoff + 1, 1) - 1 = cutoff
+            (INDEX_CEILING + 1, 1),  # C(d + 1, d) - 1 = d
+            (6, 20),  # C(26, 6) - 1 = 230,229
+            (10**9, 10**9),
+        ],
+    )
+    def test_index_count_above_ceiling(self, capsys, d, cutoff):
+        code, out, err = run_cli(
+            capsys, "blocks", "--d", str(d), "--lambda", "2", "--c", "1", "--cutoff", str(cutoff)
+        )
+        assert code == 1
+        assert out == ""
+        assert f"work ceiling INDEX_CEILING = {INDEX_CEILING}" in err
+
+    def test_ceilings_themselves_are_accepted(self):
+        # The checks pass at the ceiling; the refusing kernel then shows
+        # that the run would start.
+        with pytest.raises(AssertionError, match="work started"):
+            main(["scan", "--n", "2", "--q", "3", "--rmax", str(RMAX_CEILING)])
+        with pytest.raises(AssertionError, match="work started"):
+            main(["blocks", "--d", "1", "--lambda", "2", "--c", "1", "--cutoff", str(INDEX_CEILING)])
 
 
 class TestHarness:

@@ -3,6 +3,7 @@ reports with their serializations, and the exact bridge back to the
 potential's block constants."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,19 @@ from calabi_bell.inequality import (
     scan_grid,
 )
 from calabi_bell.potential import CalabiParams, h_values
-from calabi_bell.rationals import factorial
+from calabi_bell.rationals import binomial, factorial
+
+
+def fraction_rows(n, q, r_max):
+    """The exponential-formula recurrence in Fraction arithmetic, the
+    reference for the integer kernel: S_k = sum_{i<=k}
+    C(k-1, i-1) z_i S_{k-i}, z_i = -q (-1)^i x_i."""
+    zs = []
+    s = [Fraction(1)]
+    for k in range(1, r_max + 1):
+        zs.append((q if k % 2 else -q) * normalized_term(n, k))
+        s.append(sum(binomial(k - 1, i - 1) * zs[i - 1] * s[k - i] for i in range(1, k + 1)))
+    return s[1:]
 
 
 class TestNormalizedSequence:
@@ -175,6 +188,19 @@ class TestScan:
             longest.append(len(report.rows))
         assert sum(rows > 40 for rows in longest) >= 3
 
+    def test_integer_kernel_matches_fraction_recurrence(self):
+        # Every row r <= 150, q from below 1 to 300, n = 2..8, reduced
+        # denominators 1..7.
+        rng = random.Random(35)
+        cases = [(2, Fraction(1, 7)), (8, Fraction(300)), (3, Fraction(299, 7))]
+        for b in range(1, 8):
+            a = rng.choice([a for a in range(1, 300 * b + 1) if math.gcd(a, b) == 1])
+            cases.append((b + 1, Fraction(a, b)))
+        assert {q.denominator for _, q in cases} == set(range(1, 8))
+        assert min(q for _, q in cases) < 1 and max(q for _, q in cases) == 300
+        for n, q in cases:
+            assert list(inequality_mod._s_rows(n, q, 150)) == fraction_rows(n, q, 150), (n, q)
+
     def test_wrong_kernel_row_is_caught(self, monkeypatch, capsys):
         exact_rows = inequality_mod._s_rows
         monkeypatch.setattr(inequality_mod, "_s_rows", lambda *args: (s + 1 for s in exact_rows(*args)))
@@ -197,6 +223,37 @@ class TestScan:
         assert [rep.q for rep in reports] == qs
         for q, rep in zip(qs, reports):
             assert rep == min_negative_r(2, q, 50)
+
+    def test_grid_shares_one_bell_triangle(self, monkeypatch):
+        # The re-checks of a grid build triangle rows up to the largest
+        # last r, not one triangle per q.
+        built = []
+        extend = BellTable.extend
+
+        def spy(table, r_max):
+            before = table.r_max
+            extend(table, r_max)
+            built.append(table.r_max - before)
+
+        monkeypatch.setattr(BellTable, "extend", spy)
+        reports = scan_grid(2, [Fraction(3), Fraction(1, 2), Fraction(5), Fraction(5, 2)], 50)
+        last_rs = [len(rep.rows) for rep in reports]
+        assert last_rs == [8, 4, 10, 6]
+        assert sum(built) == max(last_rs)
+
+    def test_grid_wrong_kernel_for_one_q_is_caught(self, monkeypatch, capsys):
+        exact_rows = inequality_mod._s_rows
+
+        def wrong_for_three(n, q, r_max):
+            rows = exact_rows(n, q, r_max)
+            return (s + 1 for s in rows) if q == 3 else rows
+
+        monkeypatch.setattr(inequality_mod, "_s_rows", wrong_for_three)
+        assert scan_grid(2, [Fraction(1, 2), Fraction(2)], 50)
+        with pytest.raises(BellConsistencyError):
+            scan_grid(2, [Fraction(1, 2), Fraction(3), Fraction(2)], 50)
+        assert main(["scan", "--n", "2", "--grid", "1/2,3,2", "--rmax", "50"]) == 2
+        assert "internal consistency failure" in capsys.readouterr().err
 
     def test_grid_empty(self):
         assert scan_grid(2, [], 10) == []
