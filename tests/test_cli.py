@@ -2,9 +2,11 @@
 output, and round-tripping the emitted JSON back into report objects."""
 
 import json
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -425,6 +427,58 @@ class TestWorkCeilings:
             main(["scan", "--n", "2", "--q", "3", "--rmax", str(RMAX_CEILING)])
         with pytest.raises(AssertionError, match="work started"):
             main(["blocks", "--d", "1", "--lambda", "2", "--c", "1", "--cutoff", str(INDEX_CEILING)])
+
+
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_output(capsys, case):
+    """Exit code and exact stdout, recorded before the CLI's rendering was
+    consolidated; the fixture is never regenerated."""
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """(command, expected stdout lines) for every ``$ calabi-bell`` example
+    in the README's "CLI usage" section."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("## CLI usage", 1)[1].split("\n## ", 1)[0]
+    examples: list[tuple[str, list[str]]] = []
+    for block in section.split("```")[1::2]:
+        for line in block.splitlines():
+            if line.startswith("$ calabi-bell "):
+                examples.append((line[len("$ calabi-bell "):].split("#")[0].strip(), []))
+            elif examples and line:
+                examples[-1][1].append(line)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "command,expected", README_EXAMPLES, ids=[command for command, _ in README_EXAMPLES]
+)
+def test_readme_example(capsys, command, expected):
+    """A ``...`` line in the README elides the middle of the output."""
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    lines = out.splitlines()
+    if "..." in expected:
+        cut = expected.index("...")
+        head, tail = expected[:cut], expected[cut + 1:]
+        assert len(lines) >= len(head) + len(tail)
+        assert lines[: len(head)] == head
+        assert lines[len(lines) - len(tail):] == tail
+    else:
+        assert lines == expected
+
+
+def test_readme_examples_cover_every_subcommand():
+    commands = {command.split()[0] for command, _ in README_EXAMPLES}
+    assert commands == {"bell", "useries", "hr", "scan", "blocks"}
 
 
 class TestHarness:
