@@ -92,28 +92,27 @@ def partial_bell_partition(r: int, j: int, values: Sequence[Rational | int]) -> 
 
 
 def partial_bell_recurrence(r: int, j: int, values: Sequence[Rational | int]) -> Rational:
-    """B_{r,j} by the binomial recurrence, memoized on (r, j).
+    """B_{r,j} by the binomial recurrence, level by level in the block count.
 
-    Only entries with the same index gap r-j or smaller are visited, so the
-    input needs exactly r-j+1 values, same contract as the partition sum.
+    Every entry the recurrence reaches from (r, j) has index gap rr - jj
+    between 0 and r - j, so the input needs exactly r-j+1 values, same
+    contract as the partition sum. Levels jj < j keep all r-j+1 gaps;
+    level j computes only B_{r,j}. No recursion, so j near r is as safe
+    as small j.
     """
     _check_indices(r, j)
     xs = _coerce(values, r - j + 1)
-    memo: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-
-    def entry(rr: int, jj: int) -> Fraction:
-        if jj == 0 or rr < jj:
-            return Fraction(1) if rr == jj == 0 else Fraction(0)
-        cached = memo.get((rr, jj))
-        if cached is not None:
-            return cached
-        acc = Fraction(0)
-        for i in range(1, rr - jj + 2):
-            acc += binomial(rr - 1, i - 1) * xs[i - 1] * entry(rr - i, jj - 1)
-        memo[(rr, jj)] = acc
-        return acc
-
-    return entry(r, j)
+    top = r - j
+    # level[g] = B_{jj+g, jj} for the current jj; at jj = 1 it is x_{g+1}.
+    level = xs
+    for jj in range(2, j + 1):
+        below, level = level, []
+        for g in range(top + 1) if jj < j else (top,):
+            acc = Fraction(0)
+            for i in range(1, g + 2):
+                acc += binomial(jj + g - 1, i - 1) * xs[i - 1] * below[g + 1 - i]
+            level.append(acc)
+    return level[-1]
 
 
 class BellTable:

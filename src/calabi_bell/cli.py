@@ -6,6 +6,10 @@ check), ``hr`` (block-scale constants), ``scan`` (sign scan over r, with
 a ``--grid`` variant that scans several q in turn), ``blocks`` (the
 projective-space block demonstration).
 
+Each handler validates its input, computes, and builds its output once:
+a JSON payload (for ``scan`` and ``blocks``, the report's ``to_dict()``)
+whose rendered strings the CSV rows and the table lines reuse. One
+writer, ``_emit``, prints whichever of the three ``--format`` asks for.
 Exact quantities are printed as ``p/q``. Exit codes: 0 success, 1 usage
 error (bad flags, malformed rationals, out-of-range values, a request
 above a work ceiling), 2 internal consistency failure (the cross-checking
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 from .bell import BellConsistencyError, complete_bell, partial_bell_recurrence
 from .diastasis import FubiniStudyBase, eh_block_scan
-from .inequality import ScanReport, min_negative_r, scan_grid
+from .inequality import min_negative_r, scan_grid
 from .potential import (
     BranchResidueError,
     CalabiParams,
@@ -76,10 +79,9 @@ def _rational_list_arg(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational_arg(piece) for piece in items)
 
 
-def _require_positive(value: Fraction, name: str) -> Fraction:
+def _require_positive(value: Fraction, name: str) -> None:
     if value <= 0:
         raise UsageError(f"{name} must be positive, got {format_rational(value)}")
-    return value
 
 
 def _check_rmax(value: int, name: str) -> None:
@@ -100,20 +102,22 @@ def _check_index_count(d: int, cutoff: int) -> None:
             )
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(fmt: str, payload, columns: list[str], rows: list[list], table: list[str]) -> int:
+    """Write a command's output once, in the chosen format: the JSON
+    ``payload``, the CSV of ``columns`` and ``rows``, or the ``table`` lines."""
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+    else:
+        text = json.dumps(payload, indent=2) if fmt == "json" else "\n".join(table)
+        sys.stdout.write(text + "\n")
+    return 0
 
 
-def _print_json(payload) -> None:
-    _print(json.dumps(payload, indent=2))
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _tab(columns: list[str], rows: list[list]) -> list[str]:
+    """Tab-separated table lines: a header of ``columns``, then the rows."""
+    return ["\t".join(map(str, line)) for line in [columns, *rows]]
 
 
 # -- bell -----------------------------------------------------------------
@@ -123,32 +127,20 @@ def _cmd_bell(args) -> int:
     r, j = args.r, args.j
     if r < 1:
         raise UsageError(f"--r must be >= 1, got {r}")
-    if j is not None:
-        if not 1 <= j <= r:
-            raise UsageError(f"--j must satisfy 1 <= j <= r, got j={j}, r={r}")
-        needed = r - j + 1
-    else:
-        needed = r
+    if j is not None and not 1 <= j <= r:
+        raise UsageError(f"--j must satisfy 1 <= j <= r, got j={j}, r={r}")
+    needed = r if j is None else r - j + 1
     if len(args.x) < needed:
         raise UsageError(f"--x needs at least {needed} values here, got {len(args.x)}")
     if j is not None:
-        value = partial_bell_recurrence(r, j, args.x)
-        kind = "partial"
+        value = format_rational(partial_bell_recurrence(r, j, args.x))
+        payload = {"kind": "partial", "r": r, "j": j}
     else:
-        value = complete_bell(r, args.x)
-        kind = "complete"
-    if args.format == "json":
-        payload = {"kind": kind, "r": r}
-        if j is not None:
-            payload["j"] = j
-        payload["x"] = [format_rational(v) for v in args.x]
-        payload["value"] = format_rational(value)
-        _print_json(payload)
-    elif args.format == "csv":
-        _print(_csv_text(["r", "j", "value"], [[r, "" if j is None else j, format_rational(value)]]))
-    else:
-        _print(format_rational(value))
-    return 0
+        value = format_rational(complete_bell(r, args.x))
+        payload = {"kind": "complete", "r": r}
+    payload.update(x=[format_rational(v) for v in args.x], value=value)
+    rows = [[r, "" if j is None else j, value]]
+    return _emit(args.format, payload, ["r", "j", "value"], rows, [value])
 
 
 # -- useries ---------------------------------------------------------------
@@ -160,6 +152,10 @@ def _params_from(args) -> CalabiParams:
     _require_positive(args.k0, "--k0")
     _require_positive(args.c, "--c")
     return CalabiParams(args.n, args.k0, args.c)
+
+
+def _params_payload(params: CalabiParams) -> dict:
+    return {"n": params.n, "k0": format_rational(params.k0), "c": format_rational(params.c)}
 
 
 def _cmd_useries(args) -> int:
@@ -177,25 +173,13 @@ def _cmd_useries(args) -> int:
     else:
         seq = u_coeffs(params, args.order)
     rendered = [format_rational(v) for v in seq.values]
-    if args.format == "json":
-        payload = {
-            "n": params.n,
-            "k0": format_rational(params.k0),
-            "c": format_rational(params.c),
-            "order": args.order,
-            "method": args.method,
-            "values": rendered,
-        }
-        if args.method == "both":
-            payload["methods_agree"] = True
-        _print_json(payload)
-    elif args.format == "csv":
-        _print(_csv_text(["j", "a"], [[j + 1, rendered[j]] for j in range(len(rendered))]))
-    else:
-        _print(", ".join(rendered))
-        if args.method == "both":
-            _print("methods agree")
-    return 0
+    payload = {**_params_payload(params), "order": args.order, "method": args.method}
+    payload["values"] = rendered
+    table = [", ".join(rendered)]
+    if args.method == "both":
+        payload["methods_agree"] = True
+        table.append("methods agree")
+    return _emit(args.format, payload, ["j", "a"], list(enumerate(rendered, 1)), table)
 
 
 def _useries_eval(params: CalabiParams, args) -> int:
@@ -208,34 +192,18 @@ def _useries_eval(params: CalabiParams, args) -> int:
         report = evaluator.condition_report(x)
     except ValueError as exc:
         raise UsageError(f"--eval point {x!r} is out of range: {exc}") from None
-    if args.format == "json":
-        _print_json(
-            {
-                "n": params.n,
-                "k0": format_rational(params.k0),
-                "c": format_rational(params.c),
-                "x": x,
-                "u": value,
-                "imaginary_residue": residue,
-                "horizontal_factor": report.horizontal_factor,
-                "fiber_factor": report.fiber_factor,
-                "ode_residual": report.ode_residual,
-            }
-        )
-    elif args.format == "csv":
-        _print(
-            _csv_text(
-                ["x", "u", "imaginary_residue", "horizontal_factor", "fiber_factor", "ode_residual"],
-                [[x, value, residue, report.horizontal_factor, report.fiber_factor, report.ode_residual]],
-            )
-        )
-    else:
-        _print(f"u({x!r}) = {value!r}")
-        _print(f"imaginary_residue = {residue!r}")
-        _print(f"horizontal_factor = {report.horizontal_factor!r}")
-        _print(f"fiber_factor = {report.fiber_factor!r}")
-        _print(f"ode_residual = {report.ode_residual!r}")
-    return 0
+    values = {
+        "x": x,
+        "u": value,
+        "imaginary_residue": residue,
+        "horizontal_factor": report.horizontal_factor,
+        "fiber_factor": report.fiber_factor,
+        "ode_residual": report.ode_residual,
+    }
+    table = [f"u({x!r}) = {value!r}"]
+    table.extend(f"{name} = {v!r}" for name, v in list(values.items())[2:])
+    payload = {**_params_payload(params), **values}
+    return _emit(args.format, payload, list(values), [list(values.values())], table)
 
 
 # -- hr ---------------------------------------------------------------------
@@ -251,41 +219,22 @@ def _cmd_hr(args) -> int:
     values = h_values(params, args.m, r_max)
     if args.r is not None:
         values = values[-1:]
-    if args.format == "json":
-        _print_json(
-            {
-                "n": params.n,
-                "k0": format_rational(params.k0),
-                "c": format_rational(params.c),
-                "m": format_rational(args.m),
-                "values": [{"r": item.r, "h": format_rational(item.value)} for item in values],
-            }
-        )
-    elif args.format == "csv":
-        _print(_csv_text(["r", "h"], [[item.r, format_rational(item.value)] for item in values]))
-    elif args.r is not None:
-        _print(format_rational(values[0].value))
-    else:
-        _print("r\th")
-        for item in values:
-            _print(f"{item.r}\t{format_rational(item.value)}")
-    return 0
+    rows = [[item.r, format_rational(item.value)] for item in values]
+    payload = {**_params_payload(params), "m": format_rational(args.m)}
+    payload["values"] = [{"r": r, "h": h} for r, h in rows]
+    table = [rows[0][1]] if args.r is not None else _tab(["r", "h"], rows)
+    return _emit(args.format, payload, ["r", "h"], rows, table)
 
 
 # -- scan --------------------------------------------------------------------
 
 
-def _scan_table(report: ScanReport) -> str:
-    lines = [
-        f"n = {report.n}  q = {format_rational(report.q)}  r_max = {report.r_max}",
-        "r\tS",
-    ]
-    lines.extend(f"{r}\t{format_rational(s)}" for r, s in report.rows)
-    if report.min_negative_r is not None:
-        lines.append(f"min_negative_r = {report.min_negative_r}")
-    else:
-        lines.append(f"min_negative_r = none (no sign failure through r_max = {report.r_max})")
-    return "\n".join(lines) + "\n"
+def _scan_table(scan: dict) -> list[str]:
+    """The table lines of one ``ScanReport.to_dict()``."""
+    lines = [f"n = {scan['n']}  q = {scan['q']}  r_max = {scan['r_max']}"]
+    lines.extend(_tab(["r", "S"], [[row["r"], row["S"]] for row in scan["rows"]]))
+    none = f"none (no sign failure through r_max = {scan['r_max']})"
+    return [*lines, f"min_negative_r = {scan.get('min_negative_r', none)}"]
 
 
 def _cmd_scan(args) -> int:
@@ -297,28 +246,14 @@ def _cmd_scan(args) -> int:
     if args.grid is not None:
         for q in args.grid:
             _require_positive(q, "--grid entries")
-        reports = scan_grid(args.n, list(args.grid), args.rmax)
-        if args.format == "json":
-            _print_json([report.to_dict() for report in reports])
-        elif args.format == "csv":
-            rows = [
-                [format_rational(report.q), r, format_rational(s)]
-                for report in reports
-                for r, s in report.rows
-            ]
-            _print(_csv_text(["q", "r", "S"], rows))
-        else:
-            _print("\n".join(_scan_table(report) for report in reports))
-        return 0
+        scans = [report.to_dict() for report in scan_grid(args.n, list(args.grid), args.rmax)]
+        rows = [[scan["q"], row["r"], row["S"]] for scan in scans for row in scan["rows"]]
+        table = "\n\n".join("\n".join(_scan_table(scan)) for scan in scans)
+        return _emit(args.format, scans, ["q", "r", "S"], rows, [table])
     _require_positive(args.q, "--q")
-    report = min_negative_r(args.n, args.q, args.rmax)
-    if args.format == "json":
-        _print(report.to_json())
-    elif args.format == "csv":
-        _print(report.to_csv())
-    else:
-        _print(_scan_table(report))
-    return 0
+    scan = min_negative_r(args.n, args.q, args.rmax).to_dict()
+    rows = [[row["r"], row["S"]] for row in scan["rows"]]
+    return _emit(args.format, scan, ["r", "S"], rows, _scan_table(scan))
 
 
 # -- blocks -------------------------------------------------------------------
@@ -336,37 +271,23 @@ def _cmd_blocks(args) -> int:
         raise UsageError(f"--cutoff must be >= 1, got {args.cutoff}")
     _check_rmax(args.rmax, "--rmax")
     _check_index_count(args.d, args.cutoff)
-    base = FubiniStudyBase(args.d, args.multiple)
-    report = eh_block_scan(base, args.c, args.rmax, args.cutoff)
-    if args.format == "json":
-        _print(report.to_json())
-        return 0
-    if args.format == "csv":
-        rows = [
-            [block.r, format_rational(block.base_matrix.exponent), format_rational(block.scale), block.verdict]
-            for block in report.blocks
-        ]
-        _print(_csv_text(["r", "exponent", "scale", "verdict"], rows))
-        return 0
-    header = (
-        f"d = {report.d}  lambda = {report.multiple}  k0 = {format_rational(report.k0)}"
-        f"  c = {format_rational(report.c)}  cutoff = {report.cutoff}"
-    )
-    _print(header)
-    if report.integrality_failure:
-        _print(f"integrality failure: {report.failure_reason}")
-        return 0
-    _print("r\texponent\tscale\tverdict")
-    for block in report.blocks:
-        _print(
-            f"{block.r}\t{format_rational(block.base_matrix.exponent)}"
-            f"\t{format_rational(block.scale)}\t{block.verdict}"
-        )
-    if report.first_negative_r is not None:
-        _print(f"first_negative_r = {report.first_negative_r}")
+    scan = eh_block_scan(FubiniStudyBase(args.d, args.multiple), args.c, args.rmax, args.cutoff)
+    payload = scan.to_dict()
+    columns = ["r", "exponent", "scale", "verdict"]
+    rows = [[block[name] for name in columns] for block in payload.get("blocks", [])]
+    table = [
+        f"d = {payload['d']}  lambda = {payload['lambda']}  k0 = {payload['k0']}"
+        f"  c = {payload['c']}  cutoff = {payload['cutoff']}"
+    ]
+    if scan.integrality_failure:
+        table.append(f"integrality failure: {scan.failure_reason}")
     else:
-        _print(f"first_negative_r = none (all scales non-negative through r_max = {report.r_max})")
-    return 0
+        table.extend(_tab(columns, rows))
+        witness = scan.first_negative_r
+        if witness is None:
+            witness = f"none (all scales non-negative through r_max = {scan.r_max})"
+        table.append(f"first_negative_r = {witness}")
+    return _emit(args.format, payload, columns, rows, table)
 
 
 # -- wiring --------------------------------------------------------------------
@@ -379,24 +300,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=FORMATS, default="table", help="output format")
-
     p_bell = subparsers.add_parser("bell", help="one partial or complete Bell polynomial value")
     p_bell.add_argument("--r", type=int, required=True, help="total index r >= 1")
     p_bell.add_argument("--j", type=int, help="block count; omit for the complete polynomial")
     p_bell.add_argument(
         "--x", type=_rational_list_arg, required=True, help="comma-separated rationals x_1,x_2,..."
     )
-    add_format(p_bell)
     p_bell.set_defaults(handler=_cmd_bell)
 
     p_useries = subparsers.add_parser(
         "useries", help="potential derivatives at 0, or a numeric point evaluation"
     )
-    p_useries.add_argument("--n", type=int, required=True, help="base dimension, >= 2")
-    p_useries.add_argument("--k0", type=_rational_arg, required=True, help="Einstein normalization, p/q > 0")
-    p_useries.add_argument("--c", type=_rational_arg, required=True, help="scale u'(0), p/q > 0")
+    p_hr = subparsers.add_parser("hr", help="block-scale constants h_r")
+    for p in (p_useries, p_hr):
+        p.add_argument("--n", type=int, required=True, help="base dimension, >= 2")
+        p.add_argument(
+            "--k0", type=_rational_arg, required=True, help="Einstein normalization, p/q > 0"
+        )
+        p.add_argument("--c", type=_rational_arg, required=True, help="scale u'(0), p/q > 0")
     p_useries.add_argument("--order", type=int, help="number of derivatives a_1..a_order")
     p_useries.add_argument(
         "--method",
@@ -410,18 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="evaluate u and the defining condition at this x >= 0 instead",
     )
-    add_format(p_useries)
     p_useries.set_defaults(handler=_cmd_useries)
 
-    p_hr = subparsers.add_parser("hr", help="block-scale constants h_r")
-    p_hr.add_argument("--n", type=int, required=True, help="base dimension, >= 2")
-    p_hr.add_argument("--k0", type=_rational_arg, required=True, help="Einstein normalization, p/q > 0")
-    p_hr.add_argument("--c", type=_rational_arg, required=True, help="scale u'(0), p/q > 0")
     p_hr.add_argument("--m", type=_rational_arg, required=True, help="twist multiple, p/q > 0")
     which = p_hr.add_mutually_exclusive_group(required=True)
     which.add_argument("--r", type=int, help="a single r")
     which.add_argument("--rmax", type=int, help="all of r = 1..rmax")
-    add_format(p_hr)
     p_hr.set_defaults(handler=_cmd_hr)
 
     p_scan = subparsers.add_parser("scan", help="first negative alternating Bell sum")
@@ -432,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", type=_rational_list_arg, help="comma-separated q values, scanned in turn"
     )
     p_scan.add_argument("--rmax", type=int, default=200, help="scan cap (default 200)")
-    add_format(p_scan)
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_blocks = subparsers.add_parser(
@@ -444,9 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_blocks.add_argument("--c", type=_rational_arg, required=True, help="scale u'(0), p/q > 0")
     p_blocks.add_argument("--rmax", type=int, default=12, help="block scan cap (default 12)")
-    p_blocks.add_argument("--cutoff", type=int, default=6, help="monomial degree cutoff (default 6)")
-    add_format(p_blocks)
+    p_blocks.add_argument(
+        "--cutoff", type=int, default=6, help="monomial degree cutoff (default 6)"
+    )
     p_blocks.set_defaults(handler=_cmd_blocks)
+
+    for p in subparsers.choices.values():
+        p.add_argument("--format", choices=FORMATS, default="table", help="output format")
 
     return parser
 

@@ -8,8 +8,10 @@ The degree-r block is a diagonal matrix (rotation invariance kills every
 off-diagonal term) whose base entries are multinomial expansion
 coefficients of (1 + |z|^2)^N - 1 with N = lambda (r k0/2 + m), scaled by
 the exact block constant h_r of the radial potential. A projectively
-induced metric needs every block positive semidefinite; the scan finds
-the first r where the scale, hence the block, goes negative.
+induced metric needs every block positive semidefinite. N is a positive
+integer, so the base entries are >= 0 and the |alpha| = 1 entry is N > 0:
+the block is PSD iff h_r >= 0. The scan reads that sign and builds no
+matrix; ``fs_coeff_matrix`` builds a block's base matrix on request.
 """
 
 from __future__ import annotations
@@ -218,21 +220,19 @@ def _reject_float(value: float) -> Fraction:
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """One degree-r diastasis block: exact scale times the base matrix."""
+    """One degree-r diastasis block: the exact scale h_r times the base
+    matrix of (1 + |z|^2)^exponent - 1 (``fs_coeff_matrix``)."""
 
     r: int
     m: int
     scale: Fraction
-    base_matrix: CoeffMatrix
+    exponent: Fraction
     verdict: str
-
-    def scaled_entries(self) -> tuple[Fraction, ...]:
-        return tuple(self.scale * e for e in self.base_matrix.entries)
 
     def to_dict(self) -> dict:
         return {
             "r": self.r,
-            "exponent": format_rational(self.base_matrix.exponent),
+            "exponent": format_rational(self.exponent),
             "scale": format_rational(self.scale),
             "verdict": self.verdict,
         }
@@ -283,10 +283,12 @@ def eh_block_scan(
     the Eguchi-Hanson case), twist multiple m = 1.
 
     If k0/2 is not a positive integer the candidate embedding already
-    fails on integrality and no blocks are built. Otherwise blocks are
-    built for r = 0, 1, ... with exact scales (1 at r = 0, the block
+    fails on integrality and no blocks are returned. Otherwise blocks are
+    returned for r = 0, 1, ... with exact scales (1 at r = 0, the block
     constants h_r of the radial potential for r >= 1) until a negative
-    scale appears (that block is included) or r_max is exhausted.
+    scale appears (that block is included) or r_max is exhausted. Each
+    verdict is the sign of the scale (see the module docstring); no matrix
+    is built, so the cutoff does not change the cost.
     """
     if isinstance(c, float):
         raise TypeError("c must be exact (int, Fraction, or 'p/q'), not float")
@@ -295,6 +297,8 @@ def eh_block_scan(
         raise ValueError(f"c must be positive, got {c}")
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     if not base.half_k0_integral:
         return BlockScanReport(
             d=base.d,
@@ -318,10 +322,8 @@ def eh_block_scan(
     blocks = []
     first_negative = None
     for item in scales:
-        matrix = fs_coeff_matrix(base, item.r, 1, cutoff)
-        scaled = [item.value * e for e in matrix.entries]
-        verdict = PSD if all(e >= 0 for e in scaled) else NOT_PSD
-        blocks.append(BlockMatrix(item.r, 1, item.value, matrix, verdict))
+        verdict = PSD if item.value >= 0 else NOT_PSD
+        blocks.append(BlockMatrix(item.r, 1, item.value, base.exponent_for(item.r, 1), verdict))
         if item.value < 0:
             first_negative = item.r
             break

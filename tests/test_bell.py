@@ -82,6 +82,13 @@ class TestStructure:
             expected = Fraction(r * (r - 1), 2) * x1 ** (r - 2) * x2
             assert partial_bell_recurrence(r, r - 1, [x1, x2]) == expected
 
+    def test_third_from_top_deep(self):
+        # One triple or two pairs, rest singletons: C(r, 3) + 3 C(r, 4) at
+        # x = 1. r = 2002 is far past the interpreter's recursion limit.
+        for r in (3, 4, 10, 2002):
+            expected = math.comb(r, 3) + 3 * math.comb(r, 4)
+            assert partial_bell_recurrence(r, r - 2, [1, 1, 1]) == expected
+
     def test_j_one_is_xr(self):
         rng = random.Random(3)
         xs = random_fractions(rng, 9)

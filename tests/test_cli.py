@@ -2,10 +2,12 @@
 output, and round-tripping the emitted JSON back into report objects."""
 
 import json
+import math
 import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,11 @@ class TestBell:
         code, _, err = run_cli(capsys, "bell", "--r", "4", "--j", "2", "--x", "1,1")
         assert code == 1
         assert "--x needs at least 3" in err
+
+    def test_j_near_deep_r(self, capsys):
+        code, out, _ = run_cli(capsys, "bell", "--r", "2002", "--j", "2000", "--x", "1,1,1")
+        assert code == 0
+        assert out == f"{math.comb(2002, 3) + 3 * math.comb(2002, 4)}\n"
 
     def test_bad_j_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bell", "--r", "2", "--j", "5", "--x", "1,1")
@@ -367,6 +374,17 @@ class TestBlocks:
             "1,3,1,PSD",
             "2,5,-1/2,not-PSD",
         ]
+
+    @pytest.mark.parametrize("d,multiple,cutoff", [(1, 2, INDEX_CEILING), (INDEX_CEILING, 1, 1)])
+    def test_index_ceiling_edge_is_fast(self, capsys, d, multiple, cutoff):
+        # The scan reads each verdict off the sign of h_r and builds no
+        # matrix, so the monomial count does not set its cost.
+        argv = ["--d", str(d), "--lambda", str(multiple), "--c", "1", "--cutoff", str(cutoff)]
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "blocks", *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert out.splitlines()[-1].startswith("first_negative_r = ")
 
     def test_bad_lambda(self, capsys):
         code, _, err = run_cli(capsys, "blocks", "--d", "1", "--lambda", "0", "--c", "1")

@@ -234,19 +234,34 @@ class TestBlockScan:
             else:
                 assert block.scale == expected[block.r]
 
-    def test_block_factorization(self):
-        report = eh_block_scan(FubiniStudyBase(1, 1), 1, 4, cutoff=4)
+    @staticmethod
+    def assert_blocks_match_matrices(base, report):
+        """The scan builds no matrix; each block's exponent and verdict must
+        agree with the base matrix that ``fs_coeff_matrix`` builds."""
         for block in report.blocks:
-            assert block.scaled_entries() == tuple(
-                block.scale * e for e in block.base_matrix.entries
-            )
-            # base entries of integer powers are non-negative, so the sign
-            # of the block is the sign of the scale
-            assert all(e >= 0 for e in block.base_matrix.entries)
+            matrix = fs_coeff_matrix(base, block.r, block.m, report.cutoff)
+            assert matrix.exponent == block.exponent
+            assert all(e >= 0 for e in matrix.entries)
+            scaled = [block.scale * e for e in matrix.entries]
+            dense = [[v if i == j else 0 for j in range(len(scaled))] for i, v in enumerate(scaled)]
+            assert block.verdict == psd_check(dense)
+
+    def test_block_factorization(self):
+        for base, c, cutoff in [
+            (FubiniStudyBase(1, 1), 1, 4),
+            (FubiniStudyBase(1, 2), 1, 3),
+            (FubiniStudyBase(2, 1), Fraction(1, 2), 2),
+            (FubiniStudyBase(3, 2), Fraction(3, 2), 2),
+        ]:
+            report = eh_block_scan(base, c, 8, cutoff)
+            assert report.first_negative_r is not None
+            self.assert_blocks_match_matrices(base, report)
 
     def test_exponents_step_by_base_degree(self):
-        report = eh_block_scan(FubiniStudyBase(2, 1), 1, 3)
-        assert [b.base_matrix.exponent for b in report.blocks[:3]] == [1, 4, 7]
+        base = FubiniStudyBase(2, 1)
+        report = eh_block_scan(base, 1, 3)
+        assert [b.exponent for b in report.blocks[:3]] == [1, 4, 7]
+        self.assert_blocks_match_matrices(base, report)
 
     def test_json_shape(self):
         payload = json.loads(eh_block_scan(FubiniStudyBase(1, 2), 1, 8).to_json())
@@ -285,3 +300,5 @@ class TestBlockScan:
             eh_block_scan(FubiniStudyBase(1, 1), 1.0, 4)
         with pytest.raises(ValueError):
             eh_block_scan(FubiniStudyBase(1, 1), 1, -1)
+        with pytest.raises(ValueError):
+            eh_block_scan(FubiniStudyBase(1, 1), 1, 4, cutoff=0)
