@@ -102,7 +102,7 @@ def _check_index_count(d: int, cutoff: int) -> None:
             )
 
 
-def _emit(fmt: str, payload, columns: list[str], rows: list[list], table: list[str]) -> int:
+def _emit(fmt: str, payload: dict | list, columns: list[str], rows: list, table: list[str]) -> int:
     """Write a command's output once, in the chosen format: the JSON
     ``payload``, the CSV of ``columns`` and ``rows``, or the ``table`` lines."""
     if fmt == "csv":
