@@ -10,8 +10,8 @@ coefficients of (1 + |z|^2)^N - 1 with N = lambda (r k0/2 + m), scaled by
 the exact block constant h_r of the radial potential. A projectively
 induced metric needs every block positive semidefinite. N is a positive
 integer, so the base entries are >= 0 and the |alpha| = 1 entry is N > 0:
-the block is PSD iff h_r >= 0. The scan reads that sign and builds no
-matrix; ``fs_coeff_matrix`` builds a block's base matrix on request.
+the block is PSD iff h_r >= 0. The scan reads that sign off ``min_negative_r``
+and builds no matrix; ``fs_coeff_matrix`` builds a block's matrix on request.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .potential import CalabiParams, HrValue, h_values
+from .inequality import min_negative_r
+from .potential import CalabiParams, _hr_values
 from .rationals import Rational, factorial, format_rational, generalized_binomial
 
 __all__ = [
@@ -114,9 +115,6 @@ class CoeffMatrix:
             return self.entries[self._positions[alpha]]
         except KeyError:
             raise ValueError(f"{alpha!r} is not an index of this matrix") from None
-
-    def diagonal(self) -> tuple[Fraction, ...]:
-        return self.entries
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -288,54 +286,35 @@ def eh_block_scan(
     constants h_r of the radial potential for r >= 1) until a negative
     scale appears (that block is included) or r_max is exhausted. Each
     verdict is the sign of the scale (see the module docstring); no matrix
-    is built, so the cutoff does not change the cost.
+    is built, nor any scale past the witness, so the cutoff sets no cost.
     """
-    if isinstance(c, float):
-        raise TypeError("c must be exact (int, Fraction, or 'p/q'), not float")
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    params = CalabiParams(base.d + 1, base.k0, c)  # validates c
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    reason, blocks = None, ()
     if not base.half_k0_integral:
-        return BlockScanReport(
-            d=base.d,
-            multiple=base.multiple,
-            k0=base.k0,
-            c=c,
-            r_max=r_max,
-            cutoff=cutoff,
-            integrality_failure=True,
-            failure_reason=(
-                f"k0/2 = {format_rational(base.k0 / 2)} is not a positive integer, "
-                "so no twist power matches the base normalization"
-            ),
-            blocks=(),
-            first_negative_r=None,
+        reason = (
+            f"k0/2 = {format_rational(base.k0 / 2)} is not a positive integer, "
+            "so no twist power matches the base normalization"
         )
-    params = CalabiParams(base.d + 1, base.k0, c)
-    scales: list[HrValue] = [HrValue(0, Fraction(1), Fraction(1))]
-    if r_max >= 1:
-        scales.extend(h_values(params, 1, r_max))
-    blocks = []
-    first_negative = None
-    for item in scales:
-        verdict = PSD if item.value >= 0 else NOT_PSD
-        blocks.append(BlockMatrix(item.r, 1, item.value, base.exponent_for(item.r, 1), verdict))
-        if item.value < 0:
-            first_negative = item.r
-            break
+    else:
+        rows = min_negative_r(params.n, 1 / base.k0, r_max).rows if r_max >= 1 else ()
+        scales = [Fraction(1)] + [h.value for h in _hr_values(params, 1, [s for _, s in rows])]
+        blocks = tuple(
+            BlockMatrix(r, 1, scale, base.exponent_for(r, 1), PSD if scale >= 0 else NOT_PSD)
+            for r, scale in enumerate(scales)
+        )
     return BlockScanReport(
         d=base.d,
         multiple=base.multiple,
         k0=base.k0,
-        c=c,
+        c=params.c,
         r_max=r_max,
         cutoff=cutoff,
-        integrality_failure=False,
-        failure_reason=None,
-        blocks=tuple(blocks),
-        first_negative_r=first_negative,
+        integrality_failure=reason is not None,
+        failure_reason=reason,
+        blocks=blocks,
+        first_negative_r=blocks[-1].r if blocks and blocks[-1].scale < 0 else None,
     )

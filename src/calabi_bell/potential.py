@@ -27,7 +27,7 @@ closed form numerically:
   raises rather than silently returning a wrong branch);
 * ``h_r`` / ``h_values``: the exact constants
   h_r = (1/r!) sum_j m^j B_{r,j}(a_1..a_r) that scale the degree-r
-  blocks in the diastasis expansion of e^{m u} - 1, read off exp_of(m u).
+  blocks of e^{m u} - 1, as (c k0)^r / r! S(n, m/k0, r) from ``inequality``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .inequality import _recheck, _s_rows
 from .rationals import Rational, factorial
-from .series import TruncatedSeries, exp_of
+from .series import TruncatedSeries
 
 __all__ = [
     "CalabiParams",
@@ -257,19 +258,31 @@ class HrValue:
 
 
 def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[HrValue, ...]:
-    """h_1..h_{r_max}: the coefficients of exp_of(m * taylor_series(u)), O(r_max^2).
+    """h_r = (c k0)^r / r! S(n, m/k0, r) for r = 1..r_max, O(r_max^2).
 
     h_r = (1/r!) sum_{j=1}^{r} m^j B_{r,j}(a_1, ..., a_r); these are the
     r-th Taylor coefficients of e^{m u(x)} at 0, i.e. the scales of the
     degree-r blocks in the fiberwise expansion of the embedding candidate.
+    S comes from the scan's kernel; row r_max is re-checked like a scan's.
     """
     m = _exact(m, "m")
     if m <= 0:
         raise ValueError(f"m must be positive, got {m}")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    exp_mu = exp_of(m * taylor_series(u_coeffs(params, r_max)))
-    return tuple(HrValue(r, m, exp_mu.coefficient(r)) for r in range(1, r_max + 1))
+    q = m / params.k0
+    rows = list(_s_rows(params.n, q, r_max))
+    _recheck(params.n, q, r_max, rows[-1])
+    return _hr_values(params, m, rows)
+
+
+def _hr_values(params: CalabiParams, m: Fraction, rows) -> tuple[HrValue, ...]:
+    """h_r = (c k0)^r / r! S(n, m/k0, r) for the rows S_1, S_2, ... of S(n, m/k0, .)."""
+    step, factor, values = params.c * params.k0, Fraction(1), []
+    for r, s in enumerate(rows, 1):
+        factor = factor * step / r
+        values.append(HrValue(r, m, factor * s))
+    return tuple(values)
 
 
 def h_r(params: CalabiParams, m: Rational | int, r: int) -> HrValue:

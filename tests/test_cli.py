@@ -257,7 +257,6 @@ class TestCoefficientMismatch:
         "argv",
         [
             ("useries", "--n", "3", "--k0", "2", "--c", "1", "--order", "5", "--method", "both"),
-            ("hr", "--n", "3", "--k0", "2", "--c", "1", "--m", "1", "--rmax", "5"),
         ],
     )
     def test_exits_2(self, capsys, argv):
@@ -266,6 +265,33 @@ class TestCoefficientMismatch:
         assert out == ""
         assert "internal consistency failure" in err
         assert "j=5" in err
+
+
+class TestKernelMismatch:
+    """A kernel row that is wrong by a factor keeps its sign, so the scan
+    stops where it would; the re-check of the last row must catch it."""
+
+    @pytest.mark.parametrize(
+        "argv,wrong_r,row",
+        [
+            (("hr", "--n", "3", "--k0", "2", "--c", "1", "--m", "1", "--rmax", "5"), 5, "S(3, 1/2, 5)"),
+            (("blocks", "--d", "1", "--lambda", "1", "--c", "1"), 2, "S(2, 1/4, 2)"),
+        ],
+        ids=["hr", "blocks"],
+    )
+    def test_exits_2(self, capsys, monkeypatch, argv, wrong_r, row):
+        exact_rows = inequality_mod._s_rows
+
+        def wrong_row(*args):
+            return (2 * s if r == wrong_r else s for r, s in enumerate(exact_rows(*args), 1))
+
+        # potential imports the kernel by name, so both bindings are patched.
+        monkeypatch.setattr(inequality_mod, "_s_rows", wrong_row)
+        monkeypatch.setattr(potential_mod, "_s_rows", wrong_row)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"internal consistency failure: {row} = " in err
 
 
 class TestScan:
@@ -375,11 +401,15 @@ class TestBlocks:
             "2,5,-1/2,not-PSD",
         ]
 
-    @pytest.mark.parametrize("d,multiple,cutoff", [(1, 2, INDEX_CEILING), (INDEX_CEILING, 1, 1)])
+    @pytest.mark.parametrize(
+        "d,multiple,cutoff", [(1, 2, INDEX_CEILING), (INDEX_CEILING, 1, 1), (1000, 1, 1)]
+    )
     def test_index_ceiling_edge_is_fast(self, capsys, d, multiple, cutoff):
         # The scan reads each verdict off the sign of h_r and builds no
-        # matrix, so the monomial count does not set its cost.
+        # matrix, so the monomial count does not set its cost; it stops at
+        # its witness, so --rmax does not either.
         argv = ["--d", str(d), "--lambda", str(multiple), "--c", "1", "--cutoff", str(cutoff)]
+        argv += ["--rmax", str(RMAX_CEILING)]
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "blocks", *argv)
         assert time.perf_counter() - start < 2

@@ -78,6 +78,16 @@ class TestAlternatingSum:
         values = [alternating_bell_sum(2, q, r) for r in (1, 2, 3, 4)]
         assert values == [Fraction(1, 2), 0, Fraction(1, 4), -1]
 
+    def test_recheck_oracle_matches_bell_triangle(self):
+        # The scan's on-path re-check against the definition, every r <= 40.
+        rng = random.Random(36)
+        for _ in range(5):
+            n = rng.randint(2, 6)
+            q = Fraction(rng.randint(1, 40 * n), rng.randint(1, 5))
+            table = BellTable(lambda l: normalized_term(n, l))
+            for r in range(1, inequality_mod.RECHECK_MAX_R + 1):
+                assert inequality_mod._s_oracle(n, q, r) == alternating_bell_sum(n, q, r, table), (n, q, r)
+
     def test_shared_table_matches_fresh(self):
         table = BellTable(lambda l: normalized_term(3, l))
         for r in range(1, 15):
@@ -209,13 +219,13 @@ class TestScan:
         assert main(["scan", "--n", "2", "--q", "3", "--rmax", "40"]) == 2
         assert "internal consistency failure" in capsys.readouterr().err
 
-    def test_deep_scan_skips_bell_triangle(self, monkeypatch):
-        def no_triangle(*args, **kwargs):
-            raise AssertionError("the Bell triangle ran past the re-check bound")
+    def test_deep_scan_skips_recheck(self, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the re-check ran past its bound")
 
-        monkeypatch.setattr(inequality_mod, "alternating_bell_sum", no_triangle)
+        monkeypatch.setattr(inequality_mod, "_s_oracle", no_oracle)
         report = min_negative_r(2, 30, 200)
-        assert report.min_negative_r == 50 > inequality_mod.BELL_RECHECK_MAX_R
+        assert report.min_negative_r == 50 > inequality_mod.RECHECK_MAX_R
 
     def test_grid_preserves_order_and_matches_single(self):
         qs = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
@@ -224,9 +234,9 @@ class TestScan:
         for q, rep in zip(qs, reports):
             assert rep == min_negative_r(2, q, 50)
 
-    def test_grid_shares_one_bell_triangle(self, monkeypatch):
-        # The re-checks of a grid build triangle rows up to the largest
-        # last r, not one triangle per q.
+    def test_cli_paths_build_no_bell_rows(self, monkeypatch, capsys):
+        # The Bell triangle serves `bell` and the tests only: scans, their
+        # re-checks, h_r and the block scan build none of its rows.
         built = []
         extend = BellTable.extend
 
@@ -236,10 +246,17 @@ class TestScan:
             built.append(table.r_max - before)
 
         monkeypatch.setattr(BellTable, "extend", spy)
-        reports = scan_grid(2, [Fraction(3), Fraction(1, 2), Fraction(5), Fraction(5, 2)], 50)
-        last_rs = [len(rep.rows) for rep in reports]
-        assert last_rs == [8, 4, 10, 6]
-        assert sum(built) == max(last_rs)
+        for argv in (
+            ["scan", "--n", "2", "--q", "3", "--rmax", "50"],
+            ["scan", "--n", "3", "--grid", "1/2,3,5", "--rmax", "50"],
+            ["hr", "--n", "3", "--k0", "7/3", "--c", "5/2", "--m", "3/2", "--rmax", "30"],
+            ["blocks", "--d", "2", "--lambda", "1", "--c", "1/2", "--rmax", "30"],
+        ):
+            assert main(argv) == 0
+            assert sum(built) == 0, argv
+        assert main(["bell", "--r", "4", "--x", "1,2,3,4"]) == 0
+        assert sum(built) > 0
+        capsys.readouterr()
 
     def test_grid_wrong_kernel_for_one_q_is_caught(self, monkeypatch, capsys):
         exact_rows = inequality_mod._s_rows

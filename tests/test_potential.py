@@ -230,14 +230,20 @@ class TestBlockConstants:
             assert h_r(p, Fraction(3, 2), item.r) == item
 
     def test_h_matches_exp_expansion(self):
-        # h_r is the r-th Taylor coefficient of e^{m u} - 1.
+        # h_r is the r-th Taylor coefficient of e^{m u} - 1, through r = 120,
+        # far past the r <= 40 re-check of h_values.
         from calabi_bell.series import exp_of
 
-        p = CalabiParams(2, 4, Fraction(1, 3))
-        m = Fraction(2)
-        series = exp_of(m * taylor_series(u_coeffs(p, 8)))
-        for item in h_values(p, m, 8):
-            assert item.value == series.coefficient(item.r)
+        cases = [
+            (CalabiParams(2, 4, Fraction(1, 3)), Fraction(2)),
+            (CalabiParams(3, Fraction(7, 3), Fraction(5, 2)), Fraction(3, 2)),
+            (CalabiParams(4, Fraction(5, 4), Fraction(2, 7)), Fraction(9, 5)),
+            (CalabiParams(6, Fraction(97, 3), Fraction(89, 7)), Fraction(1, 3)),
+        ]
+        for p, m in cases:
+            series = exp_of(m * taylor_series(u_coeffs_closed(p, 120)))
+            values = h_values(p, m, 120)
+            assert [item.value for item in values] == list(series.coeffs[1:]), (p, m)
 
     def test_h_matches_bell_sum(self):
         # h_r = (1/r!) sum_j m^j B_{r,j}(a_1..a_r), read from a Bell table.
