@@ -273,16 +273,16 @@ def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[HrVal
     q = m / params.k0
     rows = list(_s_rows(params.n, q, r_max))
     _recheck(params.n, q, r_max, rows[-1])
-    return _hr_values(params, m, rows)
+    return tuple(HrValue(r, m, h) for r, h in enumerate(_scales(params, rows), 1))
 
 
-def _hr_values(params: CalabiParams, m: Fraction, rows) -> tuple[HrValue, ...]:
-    """h_r = (c k0)^r / r! S(n, m/k0, r) for the rows S_1, S_2, ... of S(n, m/k0, .)."""
-    step, factor, values = params.c * params.k0, Fraction(1), []
+def _scales(params: CalabiParams, rows) -> list[Fraction]:
+    """h_r = (c k0)^r / r! S(n, m/k0, r) for the rows S_1, S_2, ... of one q = m/k0."""
+    step, factor, scales = params.c * params.k0, Fraction(1), []
     for r, s in enumerate(rows, 1):
         factor = factor * step / r
-        values.append(HrValue(r, m, factor * s))
-    return tuple(values)
+        scales.append(factor * s)
+    return scales
 
 
 def h_r(params: CalabiParams, m: Rational | int, r: int) -> HrValue:
