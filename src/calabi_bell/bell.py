@@ -15,7 +15,7 @@ path is the binomial recurrence
     B_{r,j} = sum_{i=1}^{r-j+1} C(r-1, i-1) * x_i * B_{r-i, j-1}
 
 with B_{0,0} = 1, which ``BellTable`` memoizes row by row, O(r^3) in all, for
-``bell`` and the tests; S and h_r use O(r^2) exponential formulas (``inequality``).
+``bell`` and as the oracle of S and h_r, which use O(r^2) exponential formulas.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .inequality import min_negative_r
 from .potential import CalabiParams, _scales
 from .rationals import Rational, factorial, format_rational, generalized_binomial
 
@@ -300,8 +299,7 @@ def eh_block_scan(
             "so no twist power matches the base normalization"
         )
     else:
-        rows = min_negative_r(params.n, 1 / base.k0, r_max).rows if r_max >= 1 else ()
-        scales = [Fraction(1)] + _scales(params, [s for _, s in rows])
+        scales = [Fraction(1)] + (_scales(params, 1, r_max, to_witness=True) if r_max >= 1 else [])
         blocks = tuple(
             BlockMatrix(r, 1, scale, base.exponent_for(r, 1), PSD if scale >= 0 else NOT_PSD)
             for r, scale in enumerate(scales)

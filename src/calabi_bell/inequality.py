@@ -18,9 +18,8 @@ R = (1 + n t)^(1/n), whose exponential coefficients are integers; with
 q = a/b, ``_s_rows`` runs that recurrence on the integers m! b^m S_m in
 O(r^2) big-integer products, with no rational arithmetic until each row
 is reduced once. It never reads ``normalized_term``; h_r and the block
-scan come from it too. ``_s_oracle`` re-checks a last row with r <= 40;
-``alternating_bell_sum`` (the Bell triangle over x_l, O(r^3)) is the
-definition the tests hold both against.
+scan read it too. ``alternating_bell_sum`` (the Bell triangle over x_l,
+O(r^3)) is its oracle and re-checks each path's last row up to r = 40.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bell import BellConsistencyError, BellTable
-from .rationals import Rational, factorial, format_rational, parse_rational
-from .series import TruncatedSeries, exp_of
+from .rationals import Rational, format_rational, parse_rational
 
 __all__ = [
     "normalized_term",
@@ -46,7 +44,7 @@ __all__ = [
     "q_decomposition",
 ]
 
-# Scans and h_values re-derive a last row up to this r by ``_s_oracle``.
+# Scans and h_values re-derive a last row up to this r by the Bell triangle.
 RECHECK_MAX_R = 40
 
 
@@ -87,8 +85,8 @@ def alternating_bell_sum(
 ) -> Fraction:
     """S(n, q, r) = (-1)^r sum_{j=1}^{r} (-q)^j B_{r,j}(x_1..x_r).
 
-    The defining sum over the Bell triangle, O(r^3): the tests' oracle
-    for the scan's kernel and its re-check. Pass a ``table`` built over
+    The defining sum over the Bell triangle, O(r^3): the oracle of the
+    scan's kernel (see ``_recheck``). Pass a ``table`` built over
     ``normalized_term(n, .)`` to amortize the triangle across many r.
     """
     _check_n(n)
@@ -191,33 +189,29 @@ def _s_rows(n: int, q: Fraction, r_max: int) -> Iterator[Fraction]:
         yield Fraction(ys[m], scale)
 
 
-def _s_oracle(n: int, q: Fraction, r: int) -> Fraction:
-    """S(n, q, r) = r! [t^r] exp(q sum_l (-1)^(l+1) x_l t^l / l!) by ``exp_of``
-    over x_l, O(r^2): unlike ``_s_rows``, it reads x_l and never rho_i."""
-    terms = [Fraction(0)]
-    for l, x in enumerate(normalized_sequence(n, r), 1):
-        terms.append((q if l % 2 else -q) * x / factorial(l))
-    return factorial(r) * exp_of(TruncatedSeries(tuple(terms))).coefficient(r)
-
-
-def _recheck(n: int, q: Fraction, r: int, value: Fraction) -> None:
+def _recheck(n: int, q: Fraction, r: int, value: Fraction, table: BellTable | None = None) -> None:
     """Raise ``BellConsistencyError`` if r <= ``RECHECK_MAX_R`` and the
-    kernel's ``value`` of S(n, q, r) differs from ``_s_oracle``."""
+    kernel's ``value`` of S(n, q, r) differs from ``alternating_bell_sum``."""
     if r <= RECHECK_MAX_R:
-        expected = _s_oracle(n, q, r)
+        expected = alternating_bell_sum(n, q, r, table)
         if value != expected:
             raise BellConsistencyError(
-                f"S({n}, {q}, {r}) = {value} disagrees with the exponential-formula value {expected}"
+                f"S({n}, {q}, {r}) = {value} disagrees with the Bell triangle value {expected}"
             )
 
 
-def min_negative_r(n: int, q: Rational | int, r_max: int = 200) -> ScanReport:
+def min_negative_r(
+    n: int, q: Rational | int, r_max: int = 200, table: BellTable | None = None
+) -> ScanReport:
     """Scan r = 1, 2, ... for the first negative S(n, q, r).
 
     Stops at the witness (inclusive) or at r_max. Exact arithmetic
     throughout; the returned rows are the full audit trail. A last row
-    with r <= ``RECHECK_MAX_R`` is re-derived by ``_s_oracle``; a
-    disagreement raises ``BellConsistencyError``.
+    with r <= ``RECHECK_MAX_R`` is re-derived through the Bell triangle;
+    a disagreement raises ``BellConsistencyError``. As in
+    ``alternating_bell_sum``, a ``table`` built over
+    ``normalized_term(n, .)`` (the same n) lets many scans share one
+    triangle; without one, the re-check builds its own.
     """
     _check_n(n)
     q = _check_q(q)
@@ -230,15 +224,18 @@ def min_negative_r(n: int, q: Rational | int, r_max: int = 200) -> ScanReport:
         if value < 0:
             witness = r
             break
-    _recheck(n, q, *rows[-1])
+    _recheck(n, q, *rows[-1], table)
     return ScanReport(n=n, q=q, r_max=r_max, rows=tuple(rows), min_negative_r=witness)
 
 
 def scan_grid(n: int, qs: list[Rational | int], r_max: int = 200) -> list[ScanReport]:
     """``min_negative_r`` for several q values, one after another, in
-    input order. Every q is validated before the first scan starts."""
+    input order. Every q is validated before the first scan starts. The
+    scans share one Bell triangle for their r <= ``RECHECK_MAX_R``
+    re-checks, so it is built only up to the largest re-checked row."""
     checked = [_check_q(q) for q in qs]
-    return [min_negative_r(n, q, r_max) for q in checked]
+    table = BellTable(lambda l: normalized_term(n, l))
+    return [min_negative_r(n, q, r_max, table) for q in checked]
 
 
 def q_decomposition(q: Rational | int) -> tuple[int, int]:

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .inequality import _recheck, _s_rows
+from .inequality import _recheck, _s_rows, min_negative_r
 from .rationals import Rational, factorial
 from .series import TruncatedSeries
 
@@ -270,14 +270,19 @@ def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[HrVal
         raise ValueError(f"m must be positive, got {m}")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
+    return tuple(HrValue(r, m, h) for r, h in enumerate(_scales(params, m, r_max), 1))
+
+
+def _scales(params: CalabiParams, m: Fraction | int, r_max: int, to_witness: bool = False) -> list[Fraction]:
+    """h_1, h_2, ... = (c k0)^r / r! S(n, m/k0, r) from the scan's kernel,
+    through r_max, or with ``to_witness`` only up to the first negative one
+    (the rows of ``min_negative_r``). The last row is re-checked as a scan's."""
     q = m / params.k0
-    rows = list(_s_rows(params.n, q, r_max))
-    _recheck(params.n, q, r_max, rows[-1])
-    return tuple(HrValue(r, m, h) for r, h in enumerate(_scales(params, rows), 1))
-
-
-def _scales(params: CalabiParams, rows) -> list[Fraction]:
-    """h_r = (c k0)^r / r! S(n, m/k0, r) for the rows S_1, S_2, ... of one q = m/k0."""
+    if to_witness:
+        rows = [s for _, s in min_negative_r(params.n, q, r_max).rows]
+    else:
+        rows = list(_s_rows(params.n, q, r_max))
+        _recheck(params.n, q, r_max, rows[-1])
     step, factor, scales = params.c * params.k0, Fraction(1), []
     for r, s in enumerate(rows, 1):
         factor = factor * step / r

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import calabi_bell.inequality as inequality_mod
+import calabi_bell.potential as potential_mod
 from calabi_bell.bell import BellConsistencyError, BellTable
 from calabi_bell.cli import main
 from calabi_bell.inequality import (
@@ -23,6 +24,20 @@ from calabi_bell.inequality import (
 )
 from calabi_bell.potential import CalabiParams, h_values
 from calabi_bell.rationals import binomial, factorial
+
+
+def spy_on_bell_rows(monkeypatch):
+    """The number of triangle rows each ``BellTable.extend`` call builds."""
+    built = []
+    extend = BellTable.extend
+
+    def spy(table, r_max):
+        before = table.r_max
+        extend(table, r_max)
+        built.append(table.r_max - before)
+
+    monkeypatch.setattr(BellTable, "extend", spy)
+    return built
 
 
 def fraction_rows(n, q, r_max):
@@ -77,16 +92,6 @@ class TestAlternatingSum:
         q = Fraction(1, 2)
         values = [alternating_bell_sum(2, q, r) for r in (1, 2, 3, 4)]
         assert values == [Fraction(1, 2), 0, Fraction(1, 4), -1]
-
-    def test_recheck_oracle_matches_bell_triangle(self):
-        # The scan's on-path re-check against the definition, every r <= 40.
-        rng = random.Random(36)
-        for _ in range(5):
-            n = rng.randint(2, 6)
-            q = Fraction(rng.randint(1, 40 * n), rng.randint(1, 5))
-            table = BellTable(lambda l: normalized_term(n, l))
-            for r in range(1, inequality_mod.RECHECK_MAX_R + 1):
-                assert inequality_mod._s_oracle(n, q, r) == alternating_bell_sum(n, q, r, table), (n, q, r)
 
     def test_shared_table_matches_fresh(self):
         table = BellTable(lambda l: normalized_term(3, l))
@@ -219,11 +224,11 @@ class TestScan:
         assert main(["scan", "--n", "2", "--q", "3", "--rmax", "40"]) == 2
         assert "internal consistency failure" in capsys.readouterr().err
 
-    def test_deep_scan_skips_recheck(self, monkeypatch):
-        def no_oracle(*args, **kwargs):
-            raise AssertionError("the re-check ran past its bound")
+    def test_deep_scan_skips_bell_triangle(self, monkeypatch):
+        def no_triangle(*args, **kwargs):
+            raise AssertionError("the Bell triangle ran past the re-check bound")
 
-        monkeypatch.setattr(inequality_mod, "_s_oracle", no_oracle)
+        monkeypatch.setattr(inequality_mod, "alternating_bell_sum", no_triangle)
         report = min_negative_r(2, 30, 200)
         assert report.min_negative_r == 50 > inequality_mod.RECHECK_MAX_R
 
@@ -234,28 +239,35 @@ class TestScan:
         for q, rep in zip(qs, reports):
             assert rep == min_negative_r(2, q, 50)
 
-    def test_cli_paths_build_no_bell_rows(self, monkeypatch, capsys):
-        # The Bell triangle serves `bell` and the tests only: scans, their
-        # re-checks, h_r and the block scan build none of its rows.
-        built = []
-        extend = BellTable.extend
+    def test_grid_shares_one_bell_triangle(self, monkeypatch):
+        # The re-checks of a grid build triangle rows up to the largest
+        # last r, not one triangle per q.
+        built = spy_on_bell_rows(monkeypatch)
+        reports = scan_grid(2, [Fraction(3), Fraction(1, 2), Fraction(5), Fraction(5, 2)], 50)
+        last_rs = [len(rep.rows) for rep in reports]
+        assert last_rs == [8, 4, 10, 6]
+        assert sum(built) == max(last_rs)
 
-        def spy(table, r_max):
-            before = table.r_max
-            extend(table, r_max)
-            built.append(table.r_max - before)
+    def test_h_r_paths_read_the_kernel(self, monkeypatch, capsys):
+        # hr and blocks take S from the scan's kernel, never from the
+        # coefficient routes, and re-check only the last row they read:
+        # blocks its witness, hr its r_max up to RECHECK_MAX_R.
+        def no_route(*args, **kwargs):
+            raise AssertionError("a coefficient route ran")
 
-        monkeypatch.setattr(BellTable, "extend", spy)
-        for argv in (
-            ["scan", "--n", "2", "--q", "3", "--rmax", "50"],
-            ["scan", "--n", "3", "--grid", "1/2,3,5", "--rmax", "50"],
-            ["hr", "--n", "3", "--k0", "7/3", "--c", "5/2", "--m", "3/2", "--rmax", "30"],
-            ["blocks", "--d", "2", "--lambda", "1", "--c", "1/2", "--rmax", "30"],
+        for name in ("u_coeffs_closed", "u_coeffs_ode"):
+            monkeypatch.setattr(potential_mod, name, no_route)
+        built = spy_on_bell_rows(monkeypatch)
+        hr = ["hr", "--n", "3", "--k0", "7/3", "--c", "5/2", "--m", "3/2", "--rmax"]
+        limit = inequality_mod.RECHECK_MAX_R
+        for argv, rows in (
+            (["blocks", "--d", "1", "--lambda", "1", "--c", "1", "--rmax", "30"], 2),
+            (hr + [str(limit)], limit),
+            (hr + [str(limit + 1)], 0),
         ):
+            built.clear()
             assert main(argv) == 0
-            assert sum(built) == 0, argv
-        assert main(["bell", "--r", "4", "--x", "1,2,3,4"]) == 0
-        assert sum(built) > 0
+            assert sum(built) == rows, argv
         capsys.readouterr()
 
     def test_grid_wrong_kernel_for_one_q_is_caught(self, monkeypatch, capsys):
