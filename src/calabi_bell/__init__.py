@@ -11,114 +11,22 @@ evaluates the closed form of the potential in double precision with
 branch-residue guards.
 """
 
-from .bell import (
-    BellConsistencyError,
-    BellTable,
-    build_bell_table,
-    complete_bell,
-    partial_bell_partition,
-    partial_bell_recurrence,
-)
-from .diastasis import (
-    BlockMatrix,
-    BlockScanReport,
-    CoeffMatrix,
-    FubiniStudyBase,
-    eh_block_scan,
-    fs_coeff_matrix,
-    fs_power_matrix,
-    monomial_indices,
-    psd_check,
-)
-from .inequality import (
-    ScanReport,
-    alternating_bell_sum,
-    min_negative_r,
-    normalized_sequence,
-    normalized_term,
-    q_decomposition,
-    scan_grid,
-)
-from .potential import (
-    BranchResidueError,
-    CalabiParams,
-    ClosedFormEvaluator,
-    CoefficientMethodMismatch,
-    CoefficientSequence,
-    ConditionReport,
-    HrValue,
-    condition_series_residual,
-    h_r,
-    h_values,
-    taylor_series,
-    u_coeffs,
-    u_coeffs_closed,
-    u_coeffs_ode,
-)
-from .rationals import (
-    Rational,
-    binomial,
-    factorial,
-    format_rational,
-    generalized_binomial,
-    parse_rational,
-    rational,
-)
-from .series import TruncatedSeries, exp_of
+# Each star import also binds its submodule (``bell``, ...) in this namespace.
+from .bell import *
+from .diastasis import *
+from .inequality import *
+from .potential import *
+from .rationals import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # rationals
-    "Rational",
-    "rational",
-    "parse_rational",
-    "format_rational",
-    "factorial",
-    "binomial",
-    "generalized_binomial",
-    # bell
-    "BellTable",
-    "BellConsistencyError",
-    "build_bell_table",
-    "complete_bell",
-    "partial_bell_partition",
-    "partial_bell_recurrence",
-    # series
-    "TruncatedSeries",
-    "exp_of",
-    # potential
-    "CalabiParams",
-    "CoefficientSequence",
-    "CoefficientMethodMismatch",
-    "BranchResidueError",
-    "u_coeffs_closed",
-    "u_coeffs_ode",
-    "u_coeffs",
-    "taylor_series",
-    "condition_series_residual",
-    "HrValue",
-    "h_r",
-    "h_values",
-    "ConditionReport",
-    "ClosedFormEvaluator",
-    # inequality
-    "normalized_term",
-    "normalized_sequence",
-    "alternating_bell_sum",
-    "ScanReport",
-    "min_negative_r",
-    "scan_grid",
-    "q_decomposition",
-    # diastasis
-    "FubiniStudyBase",
-    "monomial_indices",
-    "CoeffMatrix",
-    "fs_power_matrix",
-    "fs_coeff_matrix",
-    "psd_check",
-    "BlockMatrix",
-    "BlockScanReport",
-    "eh_block_scan",
-]
+__all__ = (
+    ["__version__"]
+    + rationals.__all__
+    + bell.__all__
+    + series.__all__
+    + potential.__all__
+    + inequality.__all__
+    + diastasis.__all__
+)

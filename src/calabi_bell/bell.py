@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from .rationals import Rational, binomial, factorial
+from .rationals import Rational, _exact, binomial, factorial
 
 __all__ = [
     "BellConsistencyError",
@@ -49,7 +49,7 @@ def _check_indices(r: int, j: int) -> None:
 def _coerce(values: Sequence[Rational | int], needed: int) -> list[Fraction]:
     if len(values) < needed:
         raise ValueError(f"need at least {needed} input values, got {len(values)}")
-    return [Fraction(v) for v in values[:needed]]
+    return [_exact(v, "x") for v in values[:needed]]
 
 
 def partial_bell_partition(r: int, j: int, values: Sequence[Rational | int]) -> Rational:
@@ -129,7 +129,7 @@ class BellTable:
             self._term = terms
             self._limit: int | None = None
         else:
-            seq = [Fraction(v) for v in terms]
+            seq = [_exact(v, "x") for v in terms]
             self._term = lambda l: seq[l - 1]
             self._limit = len(seq)
         self._xs: list[Fraction] = []
@@ -150,7 +150,7 @@ class BellTable:
             raise ValueError(f"input sequence has only {self._limit} terms, cannot extend to r={r_max}")
         while self.r_max < r_max:
             r = self.r_max + 1
-            self._xs.append(Fraction(self._term(r)))
+            self._xs.append(_exact(self._term(r), "x"))
             row = []
             for j in range(1, r + 1):
                 if j == 1:

@@ -46,11 +46,9 @@ __all__ = ["main", "build_parser"]
 
 FORMATS = ("table", "json", "csv")
 
-# Work ceilings, checked before any work starts: the largest r that
-# ``scan --rmax``, ``hr --r/--rmax`` and ``blocks --rmax`` accept, and the
-# largest monomial count C(cutoff + d, d) - 1 that ``blocks`` accepts.
+# Work ceiling, checked before any work starts: the largest r that
+# ``scan --rmax``, ``hr --r/--rmax`` and ``blocks --rmax`` accept.
 RMAX_CEILING = 1000
-INDEX_CEILING = 100_000
 
 
 class UsageError(Exception):
@@ -87,19 +85,6 @@ def _require_positive(value: Fraction, name: str) -> None:
 def _check_rmax(value: int, name: str) -> None:
     if value > RMAX_CEILING:
         raise UsageError(f"{name} {value} is above the work ceiling RMAX_CEILING = {RMAX_CEILING}")
-
-
-def _check_index_count(d: int, cutoff: int) -> None:
-    """C(cutoff + d, d) - 1 <= INDEX_CEILING, by a product that stops as
-    soon as the count passes the ceiling (it grows with every factor)."""
-    count = 1
-    for k in range(1, min(d, cutoff) + 1):
-        count = count * (max(d, cutoff) + k) // k
-        if count - 1 > INDEX_CEILING:
-            raise UsageError(
-                f"--d {d} --cutoff {cutoff} gives more than {INDEX_CEILING} monomial indices,"
-                f" above the work ceiling INDEX_CEILING = {INDEX_CEILING}"
-            )
 
 
 def _emit(fmt: str, payload: dict | list, columns: list[str], rows: list, table: list[str]) -> int:
@@ -270,7 +255,6 @@ def _cmd_blocks(args) -> int:
     if args.cutoff < 1:
         raise UsageError(f"--cutoff must be >= 1, got {args.cutoff}")
     _check_rmax(args.rmax, "--rmax")
-    _check_index_count(args.d, args.cutoff)
     scan = eh_block_scan(FubiniStudyBase(args.d, args.multiple), args.c, args.rmax, args.cutoff)
     payload = scan.to_dict()
     columns = ["r", "exponent", "scale", "verdict"]

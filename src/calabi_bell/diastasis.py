@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .potential import CalabiParams, _scales
-from .rationals import Rational, factorial, format_rational, generalized_binomial
+from .rationals import Rational, _exact, factorial, format_rational, generalized_binomial
 
 __all__ = [
     "FubiniStudyBase",
@@ -127,9 +127,7 @@ def fs_power_matrix(d: int, exponent: Rational | int, cutoff: int) -> CoeffMatri
     C(N, k) then goes negative and the matrix stops being PSD, which is
     the finite-dimensional face of the non-embeddability phenomenon.
     """
-    if isinstance(exponent, float):
-        raise TypeError("exponent must be exact (int, Fraction, or 'p/q'), not float")
-    exponent = Fraction(exponent)
+    exponent = _exact(exponent, "exponent")
     indices = monomial_indices(d, cutoff)
     binomials = {k: generalized_binomial(exponent, k) for k in range(1, cutoff + 1)}
     entries = []
@@ -197,10 +195,7 @@ def psd_check(matrix: CoeffMatrix | list[list[Rational | int]]) -> str:
     """
     if isinstance(matrix, CoeffMatrix):
         return PSD if all(e >= 0 for e in matrix.entries) else NOT_PSD
-    rows = [
-        [Fraction(v) if not isinstance(v, float) else _reject_float(v) for v in row]
-        for row in matrix
-    ]
+    rows = [[_exact(v, "a PSD check entry") for v in row] for row in matrix]
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("dense input must be a square matrix")
@@ -209,10 +204,6 @@ def psd_check(matrix: CoeffMatrix | list[list[Rational | int]]) -> str:
             if rows[i][j] != rows[j][i]:
                 raise ValueError(f"dense input must be symmetric (entries {i},{j})")
     return PSD if _dense_is_psd(rows) else NOT_PSD
-
-
-def _reject_float(value: float) -> Fraction:
-    raise TypeError("PSD check is exact; float entries are not allowed")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bell import BellConsistencyError, BellTable
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import Rational, _exact, format_rational, parse_rational
 
 __all__ = [
     "normalized_term",
@@ -54,9 +54,7 @@ def _check_n(n: int) -> None:
 
 
 def _check_q(q: Rational | int) -> Fraction:
-    if isinstance(q, float):
-        raise TypeError("q must be exact (int, Fraction, or 'p/q'), not float")
-    q = Fraction(q)
+    q = _exact(q, "q")
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
     return q

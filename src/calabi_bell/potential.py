@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .inequality import _recheck, _s_rows, min_negative_r
-from .rationals import Rational, factorial
+from .rationals import Rational, _exact, factorial
 from .series import TruncatedSeries
 
 __all__ = [
@@ -65,12 +65,6 @@ class CoefficientMethodMismatch(ArithmeticError):
 
 class BranchResidueError(ArithmeticError):
     """Imaginary parts of the closed form failed to cancel within tolerance."""
-
-
-def _exact(value: Rational | int | str, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"{what} must be exact (int, Fraction, or 'p/q'), not float")
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ class CoefficientSequence:
     def __post_init__(self) -> None:
         if self.method not in self._METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(_exact(v, "a_j") for v in self.values))
 
     @property
     def order(self) -> int:

@@ -8,6 +8,10 @@ Integers are plain Python ``int`` and never overflow.
 What this module adds is the thin contract layer the rest of the package
 (and the CLI) needs on top of the stdlib:
 
+* the one exactness gate, ``_exact``: every value entering the exact
+  layer (Bell inputs, potential parameters, scan ratios, series scalars,
+  matrix entries, and this module's own helpers) passes through it, and
+  a ``float`` raises ``TypeError`` there,
 * strict ``"p/q"`` parsing and rendering (the textual form used in JSON
   and CSV output; decimal strings are rejected so nothing silently goes
   through floating point),
@@ -39,6 +43,13 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
+def _exact(value: Rational | int | str, what: str = "value") -> Fraction:
+    """``Fraction(value)``, refusing a float: the exact layer's one gate."""
+    if isinstance(value, float):
+        raise TypeError(f"{what} must be exact (int, Fraction, or 'p/q'), not float")
+    return Fraction(value)
+
+
 def rational(numerator: int | str | Rational, denominator: int | None = None) -> Rational:
     """Build a canonical rational from ints, a Fraction, or a 'p/q' string."""
     if isinstance(numerator, str):
@@ -46,7 +57,7 @@ def rational(numerator: int | str | Rational, denominator: int | None = None) ->
             raise TypeError("denominator not allowed with a string argument")
         return parse_rational(numerator)
     if denominator is None:
-        return Fraction(numerator)
+        return _exact(numerator)
     return Fraction(numerator, denominator)
 
 
@@ -71,7 +82,7 @@ def parse_rational(text: str) -> Rational:
 
 def format_rational(value: Rational | int) -> str:
     """Render as ``"p/q"`` with the sign on p; bare ``"p"`` when q == 1."""
-    value = Fraction(value)
+    value = _exact(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -96,7 +107,7 @@ def generalized_binomial(a: Rational | int, k: int) -> Rational:
     """
     if k < 0:
         raise ValueError("lower index must be a non-negative integer")
-    a = Fraction(a)
+    a = _exact(a, "a")
     numerator = Fraction(1)
     for i in range(k):
         numerator *= a - i

@@ -13,15 +13,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import Rational
+from .rationals import Rational, _exact
 
 __all__ = ["TruncatedSeries", "exp_of"]
-
-
-def _scalar(value: Rational | int | str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating-point scalars are not allowed in an exact series")
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -37,7 +31,7 @@ class TruncatedSeries:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(_scalar(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
 
     @classmethod
     def from_coefficients(cls, coeffs: Sequence[Rational | int]) -> "TruncatedSeries":
@@ -47,7 +41,7 @@ class TruncatedSeries:
     def constant(cls, value: Rational | int, order: int) -> "TruncatedSeries":
         if order < 0:
             raise ValueError("order must be >= 0")
-        return cls((_scalar(value),) + (Fraction(0),) * order)
+        return cls((_exact(value),) + (Fraction(0),) * order)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -90,7 +84,7 @@ class TruncatedSeries:
             return TruncatedSeries(
                 tuple(self.coeffs[k] + other.coeffs[k] for k in range(order + 1))
             )
-        value = _scalar(other)
+        value = _exact(other)
         return TruncatedSeries((self.coeffs[0] + value,) + self.coeffs[1:])
 
     __radd__ = __add__
@@ -99,10 +93,10 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "TruncatedSeries | Rational | int") -> "TruncatedSeries":
-        return self + (-other if isinstance(other, TruncatedSeries) else -_scalar(other))
+        return self + (-other if isinstance(other, TruncatedSeries) else -_exact(other))
 
     def __rsub__(self, other: Rational | int) -> "TruncatedSeries":
-        return (-self) + _scalar(other)
+        return (-self) + _exact(other)
 
     def __mul__(self, other: "TruncatedSeries | Rational | int") -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
@@ -116,7 +110,7 @@ class TruncatedSeries:
                     if b != 0:
                         coeffs[i + j] += a * b
             return TruncatedSeries(tuple(coeffs))
-        value = _scalar(other)
+        value = _exact(other)
         return TruncatedSeries(tuple(value * c for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -140,7 +134,7 @@ class TruncatedSeries:
 
     def evaluate(self, point: Rational | int) -> Fraction:
         """Horner evaluation of the truncating polynomial at an exact point."""
-        point = _scalar(point)
+        point = _exact(point)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
