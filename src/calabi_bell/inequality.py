@@ -14,12 +14,14 @@ reports the first sign failure with the full row history.
 The scan takes its rows from the exponential formula S(n, q, r) =
 r! [t^r] Y(t), Y = exp(-q X(-t)), X(t) = sum_l x_l t^l / l!. Since
 t X'(t) = 1 - (1 - n t)^(1/n), Y satisfies t Y' = q (R - 1) Y with
-R = (1 + n t)^(1/n), whose exponential coefficients are integers; with
-q = a/b, ``_s_rows`` runs that recurrence on the integers m! b^m S_m in
-O(r^2) big-integer products, with no rational arithmetic until each row
-is reduced once. It never reads ``normalized_term``; h_r and the block
-scan read it too. ``alternating_bell_sum`` (the Bell triangle over x_l,
-O(r^3)) is its oracle and re-checks each path's last row up to r = 40.
+R = (1 + n t)^(1/n), whose exponential coefficients are integers. With
+q = a/b, ``_s_rows`` computes the integers m! b^m S_m with no rational
+arithmetic until each row is reduced once: by a cyclic system over
+R^k Y, k < n, in O(n) big-integer products a row, or, when n is large
+against r_max, by the exponential-formula convolution in O(r) products
+a row. It never reads ``normalized_term``; h_r and the block scan read
+it too. ``alternating_bell_sum`` (the Bell triangle over x_l, O(r^3)) is
+its oracle and re-checks each path's last row up to r = 40.
 """
 
 from __future__ import annotations
@@ -160,20 +162,69 @@ class ScanReport:
 def _s_rows(n: int, q: Fraction, r_max: int) -> Iterator[Fraction]:
     """S(n, q, 1..r_max), one row at a time, in Python ints.
 
+    Both kernels below yield Y_m = m! b^m S_m for q = a/b; row m is the
+    single reduction Y_m / (m! b^m). The cyclic kernel costs O(n) big-integer
+    products per row and the convolution O(m), but the cyclic one keeps n
+    integers and a power (m b + a)^n, so it runs only while (28 n)^2 <= r_max^3,
+    a fit to the measured crossover (n ~ 8 at r = 40, 30-45 at r = 100,
+    200-250 at r = 300, 600 at r = 600).
+    """
+    a, b = q.numerator, q.denominator
+    kernel = _cyclic_rows if (28 * n) ** 2 <= r_max**3 else _convolution_rows
+    scale = 1  # m! b^m
+    for m, y in enumerate(kernel(n, a, b, r_max), 1):
+        scale *= m * b
+        yield Fraction(y, scale)
+
+
+def _cyclic_rows(n: int, a: int, b: int, r_max: int) -> Iterator[int]:
+    """Y_1..Y_r_max by the cyclic system of G_k = R^k Y, O(n) products a row.
+
+    R' = R/(1 + n t) turns t Y' = q (R - 1) Y into
+    (1 + n t) t G_k' = k t G_k + q (1 + n t) (G_{k+1} - G_k), k < n, closed
+    by G_n = (1 + n t) G_0. On the integers A_k[m] = (m!)^2 b^m [t^m] G_k
+    (A_k[0] = 1, A_0[m] = Y_m) this reads, with c = m b + a,
+
+        c A_k[m] - a A_{k+1}[m] = T_k
+          = m^2 b (((k - n(m-1)) b - a n) A_k[m-1] + a n A_{k+1}[m-1]),
+        A_n[m] = A_0[m] + n m^2 b A_0[m-1].
+
+    Unrolling the cycle gives (c^n - a^n) A_0[m] =
+    sum_k c^(n-1-k) a^k T_k + a^n n m^2 b A_0[m-1]; back-substitution gives
+    A_{n-1}[m]..A_1[m], each an exact division by c.
+    """
+    prev = [1] * (n + 1)  # A_0..A_n at row m - 1
+    for m in range(1, r_max + 1):
+        c, mmb, base = m * b + a, m * m * b, -(m - 1) * n * b - a * n
+        ts = [mmb * ((base + k * b) * prev[k] + a * n * prev[k + 1]) for k in range(n)]
+        acc, a_pow = 0, 1
+        for t in ts:
+            acc = acc * c + a_pow * t
+            a_pow *= a
+        tail = n * mmb * prev[0]
+        cur = [(acc + a_pow * tail) // (c**n - a_pow)] * (n + 1)
+        cur[n] = cur[0] + tail
+        for k in range(n - 1, 0, -1):
+            cur[k] = (a * cur[k + 1] + ts[k]) // c
+        prev = cur
+        yield cur[0]
+
+
+def _convolution_rows(n: int, a: int, b: int, r_max: int) -> Iterator[int]:
+    """Y_1..Y_r_max by the exponential formula, O(m) products for row m.
+
     Comparing t^m/m! coefficients in t Y' = q (R - 1) Y gives
     m S_m = q sum_{i=1..m} C(m, i) rho_i S_{m-i}, where
     rho_i = prod_{s<i} (1 - s n) are the exponential coefficients of
-    R = (1 + n t)^(1/n). With q = a/b and Y_m = m! b^m S_m (Y_0 = 1):
+    R = (1 + n t)^(1/n). With Y_0 = 1:
 
         Y_m = a sum_{i=1..m} C(m, i) (m-1)!/(m-i)! rho_i b^(i-1) Y_{m-i},
 
-    all integers. Row m is the single reduction Y_m / (m! b^m).
+    all integers. It keeps only the rows, so it serves any n.
     """
-    a, b = q.numerator, q.denominator
     weights = [0]  # weights[i] = rho_i b^(i-1)
     ys = [1]  # ys[m] = Y_m
     rho = 1
-    scale = 1  # m! b^m
     for m in range(1, r_max + 1):
         rho *= 1 - (m - 1) * n
         weights.append(rho * b ** (m - 1))
@@ -183,8 +234,7 @@ def _s_rows(n: int, q: Fraction, r_max: int) -> Iterator[Fraction]:
             acc += coeff * weights[i] * ys[m - i]
             coeff = coeff * (m - i) // (i + 1) * (m - i)
         ys.append(a * acc)
-        scale *= m * b
-        yield Fraction(ys[m], scale)
+        yield ys[m]
 
 
 def _recheck(n: int, q: Fraction, r: int, value: Fraction, table: BellTable | None = None) -> None:

@@ -252,7 +252,8 @@ class HrValue:
 
 
 def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[HrValue, ...]:
-    """h_r = (c k0)^r / r! S(n, m/k0, r) for r = 1..r_max, O(r_max^2).
+    """h_r = (c k0)^r / r! S(n, m/k0, r) for r = 1..r_max, in O(n r_max)
+    big-integer products, or O(r_max^2) when n is large against r_max.
 
     h_r = (1/r!) sum_{j=1}^{r} m^j B_{r,j}(a_1, ..., a_r); these are the
     r-th Taylor coefficients of e^{m u(x)} at 0, i.e. the scales of the

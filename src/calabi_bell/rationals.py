@@ -10,8 +10,9 @@ What this module adds is the thin contract layer the rest of the package
 
 * the one exactness gate, ``_exact``: every value entering the exact
   layer (Bell inputs, potential parameters, scan ratios, series scalars,
-  matrix entries, and this module's own helpers) passes through it, and
-  a ``float`` raises ``TypeError`` there,
+  matrix entries, and this module's own helpers) passes through it; a
+  ``float`` raises ``TypeError`` there and a string must pass
+  ``parse_rational``, as every CLI flag does,
 * strict ``"p/q"`` parsing and rendering (the textual form used in JSON
   and CSV output; decimal strings are rejected so nothing silently goes
   through floating point),
@@ -44,20 +45,21 @@ _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
 def _exact(value: Rational | int | str, what: str = "value") -> Fraction:
-    """``Fraction(value)``, refusing a float: the exact layer's one gate."""
+    """``Fraction(value)``, refusing a float and reading a string with
+    ``parse_rational``: the exact layer's one gate."""
     if isinstance(value, float):
         raise TypeError(f"{what} must be exact (int, Fraction, or 'p/q'), not float")
+    if isinstance(value, str):
+        return parse_rational(value)
     return Fraction(value)
 
 
 def rational(numerator: int | str | Rational, denominator: int | None = None) -> Rational:
     """Build a canonical rational from ints, a Fraction, or a 'p/q' string."""
-    if isinstance(numerator, str):
-        if denominator is not None:
-            raise TypeError("denominator not allowed with a string argument")
-        return parse_rational(numerator)
     if denominator is None:
         return _exact(numerator)
+    if isinstance(numerator, str):
+        raise TypeError("denominator not allowed with a string argument")
     return Fraction(numerator, denominator)
 
 

@@ -431,6 +431,25 @@ class TestBlocks:
         assert "--lambda must be >= 1" in err
 
 
+class TestTimeBudget:
+    """Corner requests at the rmax ceiling finish in seconds: the S and
+    h_r rows come from the O(n r) kernel."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--n", "2", "--q", "1000", "--rmax", str(RMAX_CEILING)),
+            ("hr", "--n", "6", "--k0", "97/3", "--c", "89/7", "--m", "1", "--r", "600"),
+        ],
+    )
+    def test_finishes_within_five_seconds(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 0, err
+        assert out
+
+
 class TestWorkCeilings:
     """A request above a ceiling is a usage error before any work starts;
     these tests never run near a ceiling."""

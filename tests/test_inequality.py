@@ -216,6 +216,49 @@ class TestScan:
         for n, q in cases:
             assert list(inequality_mod._s_rows(n, q, 150)) == fraction_rows(n, q, 150), (n, q)
 
+    def test_cyclic_kernel_matches_convolution_and_fractions(self):
+        # Every row r <= 200 of the O(n r) kernel against the O(r^2) one and
+        # the Fraction recurrence: n = 2..8, reduced denominators 1..7, q
+        # from below 1 to 300.
+        rng = random.Random(36)
+        cases = [(2, Fraction(1, 7)), (8, Fraction(300)), (5, Fraction(2, 3))]
+        for b in range(1, 8):
+            a = rng.choice([a for a in range(1, 300 * b + 1) if math.gcd(a, b) == 1])
+            cases.append((rng.randint(2, 8), Fraction(a, b)))
+        assert len(cases) >= 10 and {n for n, _ in cases} <= set(range(2, 9))
+        assert {q.denominator for _, q in cases} == set(range(1, 8))
+        assert min(q for _, q in cases) < 1 and max(q for _, q in cases) == 300
+        for n, q in cases:
+            a, b = q.numerator, q.denominator
+            cyclic = list(inequality_mod._cyclic_rows(n, a, b, 200))
+            assert cyclic == list(inequality_mod._convolution_rows(n, a, b, 200)), (n, q)
+            rows = [Fraction(y, factorial(m) * b**m) for m, y in enumerate(cyclic, 1)]
+            assert rows == fraction_rows(n, q, 200), (n, q)
+
+    @pytest.mark.parametrize(
+        "n,r_max,kernel",
+        [
+            (2, 200, "_cyclic_rows"),
+            (9, 40, "_cyclic_rows"),
+            (10, 40, "_convolution_rows"),
+            (1129, 1000, "_cyclic_rows"),
+            (1130, 1000, "_convolution_rows"),
+            (10**9 + 1, 1000, "_convolution_rows"),
+        ],
+    )
+    def test_cost_rule_picks_the_kernel(self, monkeypatch, n, r_max, kernel):
+        # The cyclic kernel keeps n integers, so it runs only while
+        # (28 n)^2 <= r_max^3; n = 10^9 + 1 (blocks at d = 10^9) stays on
+        # the convolution.
+        other = {"_cyclic_rows", "_convolution_rows"} - {kernel}
+
+        def refuse(*args):
+            raise AssertionError("the other kernel ran")
+
+        monkeypatch.setattr(inequality_mod, other.pop(), refuse)
+        rows = inequality_mod._s_rows(n, Fraction(1, 2), r_max)
+        assert [next(rows), next(rows)] == [Fraction(1, 2), Fraction(2 - n, 4)]
+
     def test_wrong_kernel_row_is_caught(self, monkeypatch, capsys):
         exact_rows = inequality_mod._s_rows
         monkeypatch.setattr(inequality_mod, "_s_rows", lambda *args: (s + 1 for s in exact_rows(*args)))

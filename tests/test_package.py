@@ -96,6 +96,33 @@ def test_exact_inputs_still_pass_the_gate():
     assert partial_bell_recurrence(2, 1, ["1/2", 1]) == 1
 
 
+# Strings take the CLI's contract: "p/q" or "p", spaces allowed, no decimals.
+DECIMAL_STRINGS = {
+    "rational": lambda: rational("0.5"),
+    "CalabiParams.k0": lambda: CalabiParams(2, "0.5", 1),
+    "CalabiParams.c": lambda: CalabiParams(2, 2, "1e-3"),
+    "min_negative_r": lambda: min_negative_r(2, "1.5", 10),
+    "h_values.m": lambda: h_values(PARAMS, "1.5", 3),
+    "TruncatedSeries": lambda: TruncatedSeries(("1", "0.5")),
+}
+
+
+@pytest.mark.parametrize("call", DECIMAL_STRINGS.values(), ids=DECIMAL_STRINGS.keys())
+def test_decimal_string_is_rejected(call):
+    with pytest.raises(ValueError, match="not a rational 'p/q'"):
+        call()
+
+
+def test_strings_read_like_cli_flags():
+    assert CalabiParams(2, " 7 / 3 ", "5/2").k0 == Fraction(7, 3)
+    assert min_negative_r(2, " 3 / 2 ", 10) == min_negative_r(2, Fraction(3, 2), 10)
+    assert rational("-6/8") == rationals._exact("-6/8") == Fraction(-3, 4)
+    with pytest.raises(ValueError, match="zero denominator"):
+        rationals._exact("1/0")
+    with pytest.raises(TypeError, match="denominator not allowed"):
+        rational("1", 2)
+
+
 def test_package_imports_only_the_standard_library():
     for path in sorted((ROOT / "src" / "calabi_bell").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
