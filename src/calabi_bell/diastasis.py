@@ -16,12 +16,12 @@ and builds no matrix; ``fs_coeff_matrix`` builds a block's matrix on request.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .potential import CalabiParams, _scales
+from .inequality import min_negative_r
+from .potential import CalabiParams, _scaled
 from .rationals import Rational, _exact, factorial, format_rational, generalized_binomial
 
 __all__ = [
@@ -260,9 +260,6 @@ class BlockScanReport:
                 payload["first_negative_r"] = self.first_negative_r
         return payload
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
 
 def eh_block_scan(
     base: FubiniStudyBase, c: Rational | int, r_max: int, cutoff: int = 6
@@ -290,7 +287,8 @@ def eh_block_scan(
             "so no twist power matches the base normalization"
         )
     else:
-        scales = [Fraction(1)] + (_scales(params, 1, r_max, to_witness=True) if r_max >= 1 else [])
+        scan = min_negative_r(params.n, 1 / params.k0, r_max).rows if r_max >= 1 else ()
+        scales = [Fraction(1), *_scaled(params, [s for _, s in scan])]
         blocks = tuple(
             BlockMatrix(r, 1, scale, base.exponent_for(r, 1), PSD if scale >= 0 else NOT_PSD)
             for r, scale in enumerate(scales)

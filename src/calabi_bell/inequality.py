@@ -26,15 +26,12 @@ its oracle and re-checks each path's last row up to r = 40.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bell import BellConsistencyError, BellTable
-from .rationals import Rational, _exact, format_rational, parse_rational
+from .rationals import Rational, _exact, format_rational
 
 __all__ = [
     "normalized_term",
@@ -128,35 +125,6 @@ class ScanReport:
         if self.min_negative_r is not None:
             payload["min_negative_r"] = self.min_negative_r
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ScanReport":
-        return cls(
-            n=int(payload["n"]),
-            q=parse_rational(str(payload["q"])),
-            r_max=int(payload["r_max"]),
-            rows=tuple(
-                (int(row["r"]), parse_rational(str(row["S"]))) for row in payload["rows"]
-            ),
-            min_negative_r=(
-                int(payload["min_negative_r"]) if "min_negative_r" in payload else None
-            ),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScanReport":
-        return cls.from_dict(json.loads(text))
-
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["r", "S"])
-        for r, s in self.rows:
-            writer.writerow([r, format_rational(s)])
-        return buffer.getvalue()
 
 
 def _s_rows(n: int, q: Fraction, r_max: int) -> Iterator[Fraction]:
@@ -278,9 +246,13 @@ def min_negative_r(
 
 def scan_grid(n: int, qs: list[Rational | int], r_max: int = 200) -> list[ScanReport]:
     """``min_negative_r`` for several q values, one after another, in
-    input order. Every q is validated before the first scan starts. The
-    scans share one Bell triangle for their r <= ``RECHECK_MAX_R``
-    re-checks, so it is built only up to the largest re-checked row."""
+    input order. n, r_max and every q are validated before the first scan
+    starts. The scans share one Bell triangle for their
+    r <= ``RECHECK_MAX_R`` re-checks, so it is built only up to the largest
+    re-checked row."""
+    _check_n(n)
+    if r_max < 1:
+        raise ValueError("r_max must be >= 1")
     checked = [_check_q(q) for q in qs]
     table = BellTable(lambda l: normalized_term(n, l))
     return [min_negative_r(n, q, r_max, table) for q in checked]

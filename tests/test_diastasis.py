@@ -3,14 +3,12 @@ integer and fractional powers, the exact PSD check (diagonal and dense),
 and the block scan on the projective line."""
 
 import itertools
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from calabi_bell.diastasis import (
-    BlockScanReport,
     FubiniStudyBase,
     eh_block_scan,
     fs_coeff_matrix,
@@ -264,7 +262,7 @@ class TestBlockScan:
         self.assert_blocks_match_matrices(base, report)
 
     def test_json_shape(self):
-        payload = json.loads(eh_block_scan(FubiniStudyBase(1, 2), 1, 8).to_json())
+        payload = eh_block_scan(FubiniStudyBase(1, 2), 1, 8).to_dict()
         assert payload["d"] == 1
         assert payload["lambda"] == 2
         assert payload["k0"] == "2"
@@ -278,7 +276,7 @@ class TestBlockScan:
         }
 
     def test_json_failure_shape(self):
-        payload = json.loads(eh_block_scan(FubiniStudyBase(1, 3), 1, 8).to_json())
+        payload = eh_block_scan(FubiniStudyBase(1, 3), 1, 8).to_dict()
         assert payload["integrality_failure"] is True
         assert "failure_reason" in payload
         assert "blocks" not in payload

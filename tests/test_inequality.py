@@ -1,8 +1,7 @@
 """Sign-scan tests: the normalized sequence, the alternating sums, scan
-reports with their serializations, and the exact bridge back to the
+reports with their payloads, and the exact bridge back to the
 potential's block constants."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -14,7 +13,6 @@ import calabi_bell.potential as potential_mod
 from calabi_bell.bell import BellConsistencyError, BellTable
 from calabi_bell.cli import main
 from calabi_bell.inequality import (
-    ScanReport,
     alternating_bell_sum,
     min_negative_r,
     normalized_sequence,
@@ -23,7 +21,7 @@ from calabi_bell.inequality import (
     scan_grid,
 )
 from calabi_bell.potential import CalabiParams, h_values
-from calabi_bell.rationals import binomial, factorial
+from calabi_bell.rationals import binomial, factorial, parse_rational
 
 
 def spy_on_bell_rows(monkeypatch):
@@ -165,12 +163,16 @@ class TestScan:
         assert len(report.rows) == 3
 
     def test_json_round_trip(self):
+        # Every rational of the payload is a "p/q" string read back exactly.
         for report in (min_negative_r(2, Fraction(1, 2), 10), min_negative_r(2, 1, 2)):
-            again = ScanReport.from_json(report.to_json())
-            assert again == report
+            payload = report.to_dict()
+            assert parse_rational(payload["q"]) == report.q
+            assert [parse_rational(row["S"]) for row in payload["rows"]] == [
+                s for _, s in report.rows
+            ]
 
     def test_json_shape(self):
-        payload = json.loads(min_negative_r(2, Fraction(1, 2), 10).to_json())
+        payload = min_negative_r(2, Fraction(1, 2), 10).to_dict()
         assert payload["n"] == 2
         assert payload["q"] == "1/2"
         assert payload["r_max"] == 10
@@ -178,12 +180,8 @@ class TestScan:
         assert payload["min_negative_r"] == 4
 
     def test_json_omits_absent_witness(self):
-        payload = json.loads(min_negative_r(2, Fraction(1, 2), 3).to_json())
+        payload = min_negative_r(2, Fraction(1, 2), 3).to_dict()
         assert "min_negative_r" not in payload
-
-    def test_csv_shape(self):
-        text = min_negative_r(2, Fraction(1, 2), 10).to_csv()
-        assert text.splitlines() == ["r,S", "1,1/2", "2,0", "3,1/4", "4,-1"]
 
     def test_rows_match_bell_triangle(self):
         # The exponential-formula rows against the defining sum, one Bell
@@ -335,6 +333,11 @@ class TestScan:
             min_negative_r(2, 1, 0)
         with pytest.raises(ValueError):
             min_negative_r(2, Fraction(-1, 2), 10)
+        # n and r_max are checked even when there is no q to scan.
+        with pytest.raises(ValueError, match="n must be"):
+            scan_grid(1, [])
+        with pytest.raises(ValueError, match="r_max must be"):
+            scan_grid(2, [], 0)
 
 
 class TestQDecomposition:

@@ -1,5 +1,6 @@
 """Package-wide contracts: the public names, the exactness gate, the
-zero-dependency rule, and the README's library tour."""
+zero-dependency rule, the source line budget, and the README's library
+tour."""
 
 import ast
 import contextlib
@@ -121,6 +122,16 @@ def test_strings_read_like_cli_flags():
         rationals._exact("1/0")
     with pytest.raises(TypeError, match="denominator not allowed"):
         rational("1", 2)
+
+
+# ROADMAP aim 2: the source was this many lines at the start of the round.
+SOURCE_LINE_BUDGET = 1958
+
+
+def test_source_stays_under_budget():
+    paths = (ROOT / "src" / "calabi_bell").glob("*.py")
+    total = sum(len(path.read_text().splitlines()) for path in paths)
+    assert total < SOURCE_LINE_BUDGET, f"src/calabi_bell has {total} lines"
 
 
 def test_package_imports_only_the_standard_library():
