@@ -71,10 +71,10 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _rational_list_arg(text: str) -> tuple[Fraction, ...]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of rationals")
-    return tuple(_rational_arg(piece) for piece in items)
+    pieces = text.split(",")
+    if not all(piece.strip() for piece in pieces):
+        raise argparse.ArgumentTypeError(f"empty item in the comma-separated list {text!r}")
+    return tuple(_rational_arg(piece) for piece in pieces)
 
 
 def _require_positive(value: Fraction, name: str) -> None:

@@ -16,13 +16,14 @@ and builds no matrix; ``fs_coeff_matrix`` builds a block's matrix on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .inequality import min_negative_r
 from .potential import CalabiParams, _scaled
-from .rationals import Rational, _exact, factorial, format_rational, generalized_binomial
+from .rationals import (
+    Rational, _exact, _Record, factorial, format_rational, generalized_binomial
+)
 
 __all__ = [
     "FubiniStudyBase",
@@ -40,8 +41,7 @@ PSD = "PSD"
 NOT_PSD = "not-PSD"
 
 
-@dataclass(frozen=True)
-class FubiniStudyBase:
+class FubiniStudyBase(_Record):
     """CP^d with the Fubini-Study form normalized by an integer multiple.
 
     ``multiple`` (lambda >= 1) is the integrality normalization: the base
@@ -88,8 +88,7 @@ def monomial_indices(d: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
     return tuple(indices[1:])  # the first is the all-zero index
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
+class CoeffMatrix(_Record):
     """Diagonal-by-monomial coefficient matrix of (1 + |z|^2)^N - 1.
 
     Rows and columns are the monomials z^alpha, 1 <= |alpha| <= cutoff, in
@@ -206,8 +205,7 @@ def psd_check(matrix: CoeffMatrix | list[list[Rational | int]]) -> str:
     return PSD if _dense_is_psd(rows) else NOT_PSD
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
+class BlockMatrix(_Record):
     """One degree-r diastasis block: the exact scale h_r times the base
     matrix of (1 + |z|^2)^exponent - 1 (``fs_coeff_matrix``)."""
 
@@ -226,8 +224,7 @@ class BlockMatrix:
         }
 
 
-@dataclass(frozen=True)
-class BlockScanReport:
+class BlockScanReport(_Record):
     """Outcome of the block scan over r = 0..r_max (stopping at the first
     negative block), or the integrality failure that preempts it."""
 

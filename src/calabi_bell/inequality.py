@@ -27,11 +27,10 @@ its oracle and re-checks each path's last row up to r = 40.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bell import BellConsistencyError, BellTable
-from .rationals import Rational, _exact, format_rational
+from .rationals import Rational, _exact, _Record, format_rational
 
 __all__ = [
     "normalized_term",
@@ -100,8 +99,7 @@ def alternating_bell_sum(
     return acc if r % 2 == 0 else -acc
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     """Result of scanning S(n, q, r) for r = 1..(first negative or r_max).
 
     ``rows`` holds every value computed, in order; ``min_negative_r`` is

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .inequality import _recheck, _s_rows
-from .rationals import Rational, _exact, factorial
+from .rationals import Rational, _exact, _Record, factorial
 from .series import TruncatedSeries
 
 __all__ = [
@@ -67,8 +66,7 @@ class BranchResidueError(ArithmeticError):
     """Imaginary parts of the closed form failed to cancel within tolerance."""
 
 
-@dataclass(frozen=True)
-class CalabiParams:
+class CalabiParams(_Record):
     """Parameters of the radial potential.
 
     n  -- complex dimension of the base, integer >= 2
@@ -99,8 +97,7 @@ class CalabiParams:
         return self.n * self.k0 * self.c
 
 
-@dataclass(frozen=True)
-class CoefficientSequence:
+class CoefficientSequence(_Record):
     """Exact derivatives a_j = u^(j)(0) for j = 1..order."""
 
     params: CalabiParams
@@ -242,8 +239,7 @@ def condition_series_residual(params: CalabiParams, order: int) -> TruncatedSeri
     return horizontal.pow_int(params.n - 1) * fiber - params.c
 
 
-@dataclass(frozen=True)
-class HrValue:
+class HrValue(_Record):
     """One block-scale constant: h_r at twist multiple m."""
 
     r: int
@@ -285,8 +281,7 @@ def h_r(params: CalabiParams, m: Rational | int, r: int) -> HrValue:
     return h_values(params, m, r)[-1]
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(_Record):
     """Pointwise numeric check of the defining condition at one x.
 
     horizontal_factor = 1 + k0 x u'(x)   (must stay positive)

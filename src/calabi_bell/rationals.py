@@ -19,7 +19,8 @@ What this module adds is the thin contract layer the rest of the package
 * factorials and binomial coefficients (stdlib ``math``, re-exported so
   call sites stay uniform),
 * generalized binomial coefficients with rational upper argument, which
-  the diastasis code needs for non-integer exponents.
+  the diastasis code needs for non-integer exponents,
+* ``_Record``, the base of the package's immutable value classes.
 """
 
 from __future__ import annotations
@@ -45,8 +46,11 @@ _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
 def _exact(value: Rational | int | str, what: str = "value") -> Fraction:
-    """``Fraction(value)``, refusing a float and reading a string with
-    ``parse_rational``: the exact layer's one gate."""
+    """``Fraction(value)`` (a ``Fraction`` itself comes back as is), refusing
+    a float and reading a string with ``parse_rational``: the exact layer's
+    one gate."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"{what} must be exact (int, Fraction, or 'p/q'), not float")
     if isinstance(value, str):
@@ -114,3 +118,49 @@ def generalized_binomial(a: Rational | int, k: int) -> Rational:
     for i in range(k):
         numerator *= a - i
     return numerator / math.factorial(k)
+
+
+class _Record:
+    """An immutable value class whose fields are its own annotations, in order.
+
+    Positional or keyword construction, then ``__post_init__`` (which
+    normalizes with ``object.__setattr__``); field-wise ``==`` and
+    ``hash``; a ``Name(field=value, ...)`` repr; ``AttributeError`` on
+    assignment. Plain methods, so importing the package compiles no
+    generated code and loads no ``inspect``/``ast`` chain.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or (
+            kwargs and not kwargs.keys() <= set(names[len(args) :])
+        ):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        self.__dict__.update(zip(names, args), **kwargs)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"

@@ -10,16 +10,14 @@ no floating-point coefficient mode.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import Rational, _exact
+from .rationals import Rational, _exact, _Record
 
 __all__ = ["TruncatedSeries", "exp_of"]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """Coefficients (c_0, ..., c_order) of a series truncated at x^order.
 
     Equality is structural: same coefficients *and* same order. Instances

@@ -66,6 +66,12 @@ class TestBell:
         assert code == 1
         assert "not a rational" in err
 
+    @pytest.mark.parametrize("x", ["--x=1,,2", "--x=1,2,", "--x=,1,2", "--x="])
+    def test_empty_x_item_is_usage_error(self, capsys, x):
+        code, out, err = run_cli(capsys, "bell", "--r", "2", x)
+        assert (code, out) == (1, "")
+        assert "empty item" in err
+
     def test_short_x_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bell", "--r", "4", "--j", "2", "--x", "1,1")
         assert code == 1
@@ -350,6 +356,11 @@ class TestScan:
         assert len(blocks) == 2
         assert blocks[0].startswith("n = 2  q = 1/2")
         assert blocks[1].startswith("n = 2  q = 1")
+
+    def test_grid_empty_item_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--n", "2", "--grid", "1/2,,1")
+        assert (code, out) == (1, "")
+        assert "argument --grid: empty item in the comma-separated list '1/2,,1'" in err
 
     def test_q_and_grid_conflict(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--n", "2", "--q", "1", "--grid", "1,2")

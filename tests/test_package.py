@@ -1,10 +1,12 @@
 """Package-wide contracts: the public names, the exactness gate, the
-zero-dependency rule, the source line budget, and the README's library
-tour."""
+value classes, the import footprint, the zero-dependency rule, the source
+line budget, and the README's library tour."""
 
 import ast
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -14,9 +16,15 @@ import pytest
 import calabi_bell
 from calabi_bell import (
     BellTable,
+    BlockMatrix,
+    BlockScanReport,
     CalabiParams,
+    CoeffMatrix,
     CoefficientSequence,
+    ConditionReport,
     FubiniStudyBase,
+    HrValue,
+    ScanReport,
     TruncatedSeries,
     alternating_bell_sum,
     build_bell_table,
@@ -97,6 +105,20 @@ def test_exact_inputs_still_pass_the_gate():
     assert partial_bell_recurrence(2, 1, ["1/2", 1]) == 1
 
 
+def test_gate_returns_a_fraction_as_is():
+    value = Fraction(3, 7) ** 250
+    assert rationals._exact(value) is value
+
+    class Half(Fraction):
+        pass
+
+    for value, exact in ((True, 1), (Half(1, 2), Fraction(1, 2)), (4, 4)):
+        assert type(rationals._exact(value)) is Fraction
+        assert rationals._exact(value) == exact
+    with pytest.raises(TypeError, match="must be exact"):
+        rationals._exact(0.5)
+
+
 # Strings take the CLI's contract: "p/q" or "p", spaces allowed, no decimals.
 DECIMAL_STRINGS = {
     "rational": lambda: rational("0.5"),
@@ -122,6 +144,165 @@ def test_strings_read_like_cli_flags():
         rationals._exact("1/0")
     with pytest.raises(TypeError, match="denominator not allowed"):
         rational("1", 2)
+
+
+# One valid instance of each immutable value class: its fields, in order,
+# with values the class keeps as given.
+RECORDS = {
+    TruncatedSeries: {"coeffs": (Fraction(1), Fraction(2, 3))},
+    CalabiParams: {"n": 2, "k0": Fraction(2), "c": Fraction(1, 3)},
+    CoefficientSequence: {
+        "params": PARAMS,
+        "values": (Fraction(1), Fraction(-4)),
+        "method": "ode",
+    },
+    HrValue: {"r": 2, "m": Fraction(1), "value": Fraction(-1, 2)},
+    ConditionReport: {
+        "x": 1.0,
+        "horizontal_factor": 2.0,
+        "fiber_factor": 0.5,
+        "ode_residual": 0.0,
+        "imaginary_residue": 1e-18,
+    },
+    ScanReport: {
+        "n": 2,
+        "q": Fraction(1, 2),
+        "r_max": 4,
+        "rows": ((1, Fraction(1, 2)), (2, Fraction(0))),
+        "min_negative_r": None,
+    },
+    FubiniStudyBase: {"d": 1, "multiple": 2},
+    CoeffMatrix: {
+        "d": 1,
+        "exponent": Fraction(1, 2),
+        "cutoff": 2,
+        "indices": ((1,), (2,)),
+        "entries": (Fraction(1, 2), Fraction(-1, 8)),
+    },
+    BlockMatrix: {
+        "r": 2,
+        "m": 1,
+        "scale": Fraction(-1, 2),
+        "exponent": Fraction(5),
+        "verdict": "not-PSD",
+    },
+    BlockScanReport: {
+        "d": 1,
+        "multiple": 1,
+        "k0": Fraction(4),
+        "c": Fraction(1),
+        "r_max": 2,
+        "cutoff": 6,
+        "integrality_failure": False,
+        "failure_reason": None,
+        "blocks": (BlockMatrix(0, 1, Fraction(1), Fraction(2), "PSD"),),
+        "first_negative_r": 2,
+    },
+}
+RECORD_IDS = [cls.__name__ for cls in RECORDS]
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS.items(), ids=RECORD_IDS)
+def test_value_class_construction_equality_and_hash(cls, fields):
+    positional, keyword = cls(*fields.values()), cls(**fields)
+    assert positional == keyword and hash(positional) == hash(keyword)
+    assert all(getattr(keyword, name) == value for name, value in fields.items())
+    first, *rest = fields
+    mixed = cls(fields[first], **{name: fields[name] for name in rest})
+    assert mixed == keyword and hash(mixed) == hash(keyword)
+    assert keyword != (*fields.values(),)
+    for bad in ((), (*fields.values(), None)):
+        with pytest.raises(TypeError):
+            cls(*bad)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), **{first: fields[first]})
+    with pytest.raises(TypeError):
+        cls(**{**fields, "extra": 1})
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS.items(), ids=RECORD_IDS)
+def test_value_class_is_immutable(cls, fields):
+    record = cls(**fields)
+    for name in (*fields, "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, next(iter(fields)))
+    assert record == cls(**fields)
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS.items(), ids=RECORD_IDS)
+def test_value_class_repr(cls, fields):
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
+
+
+def test_value_classes_differ_field_by_field():
+    assert CalabiParams(2, 2, 1) != CalabiParams(2, 2, 2)
+    assert HrValue(1, 1, 1) != HrValue(2, 1, 1)
+    assert FubiniStudyBase(1, 1) != FubiniStudyBase(1, 2)
+    assert TruncatedSeries((1, 0)) != TruncatedSeries((1,))
+    assert len({CalabiParams(2, 2, 1), CalabiParams(2, "2", "1"), CalabiParams(3, 2, 1)}) == 2
+
+
+def test_value_classes_normalize_their_fields():
+    assert type(CalabiParams(2, 2, True).c) is Fraction
+    assert CoefficientSequence(PARAMS, [1, "1/2"], "ode").values == (1, Fraction(1, 2))
+    assert TruncatedSeries(coeffs=[1, "1/2"]).coeffs == (1, Fraction(1, 2))
+    assert all(type(c) is Fraction for c in TruncatedSeries((1, 2)).coeffs)
+
+
+INVALID_RECORDS = {
+    "TruncatedSeries empty": lambda: TruncatedSeries(()),
+    "CalabiParams n=1": lambda: CalabiParams(1, 2, 1),
+    "CalabiParams n not int": lambda: CalabiParams(Fraction(2), 2, 1),
+    "CalabiParams k0=0": lambda: CalabiParams(2, 0, 1),
+    "CalabiParams c<0": lambda: CalabiParams(n=2, k0=2, c=-1),
+    "CoefficientSequence method": lambda: CoefficientSequence(PARAMS, (1,), "guess"),
+    "FubiniStudyBase d=0": lambda: FubiniStudyBase(0, 1),
+    "FubiniStudyBase multiple=0": lambda: FubiniStudyBase(d=1, multiple=0),
+}
+
+
+@pytest.mark.parametrize("call", INVALID_RECORDS.values(), ids=INVALID_RECORDS.keys())
+def test_validating_value_classes_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_coeff_matrix_caches_positions_outside_its_fields():
+    matrix = fs_power_matrix(1, Fraction(1, 2), 3)
+    fresh = fs_power_matrix(1, Fraction(1, 2), 3)
+    assert matrix.entry((2,)) == Fraction(-1, 8) == matrix.entry((2,))
+    assert matrix._positions is matrix._positions
+    assert matrix == fresh and hash(matrix) == hash(fresh) and repr(matrix) == repr(fresh)
+    with pytest.raises(ValueError, match="not an index"):
+        matrix.entry((4,))
+
+
+# A fresh interpreter importing the package and its CLI loads none of these;
+# dataclasses alone would pull in the other four (see README "Cold start").
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def _loaded_after(statement: str) -> list[str]:
+    source = Path(calabi_bell.__file__).parent.parent
+    path = os.pathsep.join(filter(None, (str(source), os.environ.get("PYTHONPATH"))))
+    probe = f"import sys; {statement}; print(*sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_dataclasses_chain():
+    assert _loaded_after("pass") == []
+    assert _loaded_after("import calabi_bell, calabi_bell.cli") == []
 
 
 # ROADMAP aim 2: the source was this many lines at the start of the round.
