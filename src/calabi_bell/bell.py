@@ -16,7 +16,8 @@ path is the binomial recurrence
 
 with B_{0,0} = 1, which ``BellTable`` memoizes row by row, O(r^3) in all, for
 ``bell`` and as the oracle of S and h_r, whose integer kernel
-(``inequality._s_rows``) costs O(n r) or O(r^2).
+(``inequality._s_rows``) costs O(n r) or O(r^2). Both recurrences take each
+inner i-sum as one ``rationals._dot``; the partition-sum oracle does not.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from .rationals import Rational, _exact, binomial, factorial
+from .rationals import Rational, _dot, _exact, binomial, factorial
 
 __all__ = [
     "BellConsistencyError",
@@ -109,10 +110,8 @@ def partial_bell_recurrence(r: int, j: int, values: Sequence[Rational | int]) ->
     for jj in range(2, j + 1):
         below, level = level, []
         for g in range(top + 1) if jj < j else (top,):
-            acc = Fraction(0)
-            for i in range(1, g + 2):
-                acc += binomial(jj + g - 1, i - 1) * xs[i - 1] * below[g + 1 - i]
-            level.append(acc)
+            weighted = [binomial(jj + g - 1, i) * x for i, x in enumerate(xs[: g + 1])]
+            level.append(_dot(weighted, below[g::-1]))
     return level[-1]
 
 
@@ -152,16 +151,10 @@ class BellTable:
         while self.r_max < r_max:
             r = self.r_max + 1
             self._xs.append(_exact(self._term(r), "x"))
-            row = []
-            for j in range(1, r + 1):
-                if j == 1:
-                    row.append(self._xs[r - 1])
-                    continue
-                acc = Fraction(0)
-                for i in range(1, r - j + 2):
-                    below = self._rows[r - i]
-                    acc += binomial(r - 1, i - 1) * self._xs[i - 1] * below[j - 2]
-                row.append(acc)
+            weighted = [binomial(r - 1, i) * x for i, x in enumerate(self._xs)]  # one per row
+            row = [self._xs[r - 1]]
+            for j in range(2, r + 1):
+                row.append(_dot(weighted, [self._rows[r - i][j - 2] for i in range(1, r - j + 2)]))
             self._rows.append(row)
 
     def value(self, r: int, j: int) -> Rational:

@@ -128,21 +128,16 @@ def u_coeffs_closed(params: CalabiParams, order: int) -> CoefficientSequence:
     a_j = ((-1)^{j+1} / j) * c^j * k0^{j-1} * prod_{s=1}^{j-1} (n s - 1).
 
     The product is never zero for n >= 2, so the signs alternate strictly
-    starting from a_1 = c > 0.
+    starting from a_1 = c > 0. Integers throughout; one reduction per a_j.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    values = []
-    c_power = params.c          # c^j
-    k_power = Fraction(1)       # k0^{j-1}
-    prod = 1                    # prod_{s=1}^{j-1} (n s - 1)
+    (cn, cd), (kn, kd) = params.c.as_integer_ratio(), params.k0.as_integer_ratio()
+    num, den, values = cn, cd, []
     for j in range(1, order + 1):
-        if j > 1:
-            c_power *= params.c
-            k_power *= params.k0
-            prod *= params.n * (j - 1) - 1
-        sign = 1 if j % 2 == 1 else -1
-        values.append(sign * c_power * k_power * prod / j)
+        values.append(Fraction(num, den * j))
+        num *= -cn * kn * (params.n * j - 1)
+        den *= cd * kd
     return CoefficientSequence(params, tuple(values), "closed-form")
 
 

@@ -20,6 +20,7 @@ What this module adds is the thin contract layer the rest of the package
   call sites stay uniform),
 * generalized binomial coefficients with rational upper argument, which
   the diastasis code needs for non-integer exponents,
+* ``_dot``, the one exact sum of products (series, Bell recurrences),
 * ``_Record``, the base of the package's immutable value classes.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 
 __all__ = [
@@ -118,6 +120,18 @@ def generalized_binomial(a: Rational | int, k: int) -> Rational:
     for i in range(k):
         numerator *= a - i
     return numerator / math.factorial(k)
+
+
+def _dot(xs: Sequence[Rational | int], ys: Sequence[Rational | int]) -> Fraction:
+    """sum(x * y for x, y in zip(xs, ys)), exactly: zero terms skipped,
+    products added on one running common denominator, one reduction."""
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        if x and y:
+            pn, pd = x.numerator * y.numerator, x.denominator * y.denominator
+            g = math.gcd(den, pd)
+            num, den = num * (pd // g) + pn * (den // g), den // g * pd
+    return Fraction(num, den)
 
 
 class _Record:

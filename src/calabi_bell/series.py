@@ -4,7 +4,8 @@ A series carries its coefficients c_0..c_order as an immutable tuple.
 Arithmetic truncates at the smaller order of the two operands (the honest
 order: higher coefficients of the product are not fully determined), and
 scalar operations keep the order unchanged. Everything is exact; there is
-no floating-point coefficient mode.
+no floating-point coefficient mode. Each product or ``exp_of`` coefficient
+is one ``rationals._dot``, so it is normalized once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .rationals import Rational, _exact, _Record
+from .rationals import Rational, _dot, _exact, _Record
 
 __all__ = ["TruncatedSeries", "exp_of"]
 
@@ -98,28 +99,24 @@ class TruncatedSeries(_Record):
 
     def __mul__(self, other: "TruncatedSeries | Rational | int") -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
+            a, b = self.coeffs, other.coeffs
             order = min(self.order, other.order)
-            coeffs = [Fraction(0)] * (order + 1)
-            for i, a in enumerate(self.coeffs[: order + 1]):
-                if a == 0:
-                    continue
-                for j in range(order + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        coeffs[i + j] += a * b
-            return TruncatedSeries(tuple(coeffs))
+            return TruncatedSeries(tuple(_dot(a[: k + 1], b[k::-1]) for k in range(order + 1)))
         value = _exact(other)
         return TruncatedSeries(tuple(value * c for c in self.coeffs))
 
     __rmul__ = __mul__
 
     def pow_int(self, exponent: int) -> "TruncatedSeries":
-        """Integer power, exponent >= 0; exponent 0 gives 1 at the same order."""
+        """Integer power, exponent >= 0, by repeated squaring (truncated
+        products associate); exponent 0 gives 1 at the same order."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = TruncatedSeries.one(self.order)
-        for _ in range(exponent):
-            result = result * self
+        for bit in bin(exponent)[2:]:  # most significant first
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     __pow__ = pow_int
@@ -147,12 +144,13 @@ def exp_of(series: TruncatedSeries) -> TruncatedSeries:
 
     Uses the derivative recurrence b' = a' b, i.e.
     k b_k = sum_{i=1}^{k} i a_i b_{k-i}, which keeps every coefficient
-    rational. A nonzero constant term would drag in e^{c_0} and is
-    rejected.
+    rational; the i a_i are formed once. A nonzero constant term would
+    drag in e^{c_0} and is rejected.
     """
     if series.coeffs[0] != 0:
         raise ValueError("exp_of requires a zero constant term")
-    b = [Fraction(1)] + [Fraction(0)] * series.order
+    weighted = [i * a for i, a in enumerate(series.coeffs)]
+    b = [Fraction(1)]
     for k in range(1, series.order + 1):
-        b[k] = sum(i * series.coeffs[i] * b[k - i] for i in range(1, k + 1)) / k
+        b.append(_dot(weighted[1 : k + 1], b[::-1]) / k)
     return TruncatedSeries(tuple(b))

@@ -17,6 +17,7 @@ from calabi_bell.bell import (
     partial_bell_partition,
     partial_bell_recurrence,
 )
+from calabi_bell.inequality import normalized_sequence
 
 
 def random_fractions(rng, count, span=9):
@@ -38,6 +39,18 @@ def bell_number(r):
     for n in range(r):
         numbers.append(sum(numbers[k] * math.comb(n, k) for k in range(n + 1)))
     return numbers[r]
+
+
+def fraction_triangle(xs, r_max):
+    """rows[r][j] = B_{r,j} by the binomial recurrence on plain Fractions."""
+    rows = [[Fraction(1)]]
+    for r in range(1, r_max + 1):
+        row = [Fraction(0)] * (r + 1)
+        for j in range(1, r + 1):
+            for i in range(1, r - j + 2):
+                row[j] += math.comb(r - 1, i - 1) * xs[i - 1] * rows[r - i][j - 1]
+        rows.append(row)
+    return rows
 
 
 class TestFrozenValues:
@@ -163,6 +176,16 @@ class TestTable:
         frozen = [table.row(r) for r in range(1, 9)]
         table.extend(16)
         assert [table.row(r) for r in range(1, 9)] == frozen
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rows_match_plain_fraction_triangle(self, n):
+        xs = normalized_sequence(n, 30)
+        expected = fraction_triangle(xs, 30)
+        table = BellTable(xs)
+        for r in range(1, 31):
+            assert table.row(r) == tuple(expected[r][1:]), r
+        for r, j in ((30, 2), (30, 17), (29, 28), (12, 5)):
+            assert partial_bell_recurrence(r, j, xs) == expected[r][j], (r, j)
 
     def test_callable_source(self):
         table = BellTable(lambda l: Fraction(1, l))

@@ -103,6 +103,22 @@ class TestCoefficients:
             expected = Fraction((-1) ** (j + 1), j) * p.c**j * p.k0 ** (j - 1) * prod
             assert seq.a(j) == expected
 
+    @pytest.mark.parametrize(
+        "n, k0, c",
+        [
+            (2, Fraction(7, 3), Fraction(5, 2)),
+            (3, Fraction(2, 9), Fraction(11, 4)),
+            (5, Fraction(13, 2), Fraction(3, 8)),
+            (6, Fraction(97, 3), Fraction(89, 7)),
+        ],
+    )
+    def test_product_formula_to_order_300(self, n, k0, c):
+        expected, prod = [], Fraction(1)
+        for j in range(1, 301):
+            expected.append(Fraction((-1) ** (j + 1), j) * c**j * k0 ** (j - 1) * prod)
+            prod *= n * j - 1
+        assert u_coeffs_closed(CalabiParams(n, k0, c), 300).values == tuple(expected)
+
     def test_signs_alternate_strictly(self):
         for p in GRID:
             seq = u_coeffs_closed(p, 20)

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from calabi_bell.rationals import (
+    _dot,
     binomial,
     factorial,
     format_rational,
@@ -24,6 +25,8 @@ from calabi_bell.rationals import (
 )
 
 rationals = st.fractions(max_denominator=10**6)
+# _dot's inputs: Fractions and ints, with zeros and negatives drawn often.
+dot_scalars = st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-(10**9), 10**9), rationals)
 
 
 class TestCanonicalForm:
@@ -106,6 +109,23 @@ class TestFieldOps:
         v = a * 6 / 3
         assert math.gcd(v.numerator, v.denominator) == 1
         assert v.denominator > 0
+
+
+class TestDot:
+    @given(st.lists(st.tuples(dot_scalars, dot_scalars), max_size=16))
+    def test_equals_plain_sum_in_lowest_terms(self, pairs):
+        value = _dot([x for x, _ in pairs], [y for _, y in pairs])
+        assert type(value) is Fraction
+        assert value == sum((Fraction(x) * y for x, y in pairs), Fraction(0))
+        assert math.gcd(value.numerator, value.denominator) == 1
+        assert value.denominator > 0
+
+    def test_examples(self):
+        assert _dot([], []) == 0
+        assert _dot([0, Fraction(0)], [Fraction(5, 7), 3]) == 0
+        assert _dot([Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 3), -1]) == 0
+        assert _dot([Fraction(1, 6), Fraction(1, 10)], [3, 5]).denominator == 1
+        assert _dot([2, Fraction(-3, 4)], [Fraction(1, 4), Fraction(2, 9)]) == Fraction(1, 3)
 
 
 class TestCombinatorics:

@@ -1,7 +1,9 @@
 """Truncated series tests: ring laws at min-order truncation, derivative,
-exp, and the bridge between exp and complete Bell polynomials."""
+exp, the bridge between exp and complete Bell polynomials, and the product,
+power and exp against plain-``Fraction`` schoolbook references."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,34 @@ def random_series(rng, order, span=9):
     return TruncatedSeries(
         tuple(Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(order + 1))
     )
+
+
+def mixed_series(rng, order):
+    """Coefficients that mix zeros, integers and proper fractions."""
+    choices = (
+        lambda: Fraction(0),
+        lambda: Fraction(rng.randint(-9, 9)),
+        lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+    )
+    return TruncatedSeries(tuple(rng.choice(choices)() for _ in range(order + 1)))
+
+
+def schoolbook_product(a, b):
+    """Truncated product by the double loop on plain Fractions."""
+    order = min(len(a), len(b)) - 1
+    out = [Fraction(0)] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def schoolbook_exp(a):
+    """exp by k b_k = sum_i i a_i b_{k-i} on plain Fractions."""
+    b = [Fraction(1)]
+    for k in range(1, len(a)):
+        b.append(sum((i * a[i] * b[k - i] for i in range(1, k + 1)), Fraction(0)) / k)
+    return tuple(b)
 
 
 class TestBasics:
@@ -54,6 +84,8 @@ class TestBasics:
         assert (binomial_cube**2).coeffs == (1, 2, 1, 0)
         with pytest.raises(ValueError):
             binomial_cube.pow_int(-1)
+        with pytest.raises(ValueError):
+            binomial_cube.pow_int(2.0)
 
     def test_derivative(self):
         s = TruncatedSeries.from_coefficients([7, 1, Fraction(1, 2), 5])
@@ -159,3 +191,38 @@ class TestExp:
             )
             lhs = factorial(r) * exp_of(gen).coefficient(r)
             assert lhs == complete_bell(r, a)
+
+
+class TestAgainstSchoolbook:
+    def test_product(self):
+        rng = random.Random(31)
+        for order in range(61):
+            a = mixed_series(rng, order)
+            b = mixed_series(rng, order + rng.randint(0, 3))
+            assert (a * b).coeffs == schoolbook_product(a.coeffs, b.coeffs)
+            assert (b * a).coeffs == schoolbook_product(a.coeffs, b.coeffs)
+
+    def test_exp(self):
+        rng = random.Random(32)
+        for order in range(61):
+            a = TruncatedSeries((Fraction(0),) + mixed_series(rng, order).coeffs[1:])
+            assert exp_of(a).coeffs == schoolbook_exp(a.coeffs)
+
+    def test_pow_equals_repeated_product(self):
+        rng = random.Random(33)
+        for exponent in range(18):
+            for order in (0, 1, 4, 7):
+                s = mixed_series(rng, order)
+                expected = TruncatedSeries.one(order).coeffs
+                for _ in range(exponent):
+                    expected = schoolbook_product(expected, s.coeffs)
+                assert s.pow_int(exponent).coeffs == expected
+
+    def test_pow_huge_exponent_is_fast(self):
+        # [x^2] (1 + x + x^2/2 + ...)^e = C(e, 2) + e/2 = e^2/2.
+        s = TruncatedSeries.from_coefficients([1, 1, Fraction(1, 2), 0, -3])
+        start = time.perf_counter()
+        power = s.pow_int(10**6)
+        assert time.perf_counter() - start < 5
+        assert power.coefficient(1) == 10**6
+        assert power.coefficient(2) == Fraction(10**12, 2)
