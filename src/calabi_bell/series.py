@@ -112,8 +112,8 @@ class TruncatedSeries(_Record):
         products associate); exponent 0 gives 1 at the same order."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = TruncatedSeries.one(self.order)
-        for bit in bin(exponent)[2:]:  # most significant first
+        result = self if exponent else TruncatedSeries.one(self.order)
+        for bit in bin(exponent)[3:]:  # the bits after the leading one
             result = result * result
             if bit == "1":
                 result = result * self
