@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from math import comb
 
-from .rationals import Rational, _dot, _exact, binomial, factorial
+from .rationals import InputError, Rational, _at_least, _dot, _exact, factorial
 
 __all__ = [
     "BellConsistencyError",
@@ -42,15 +43,13 @@ class BellConsistencyError(ArithmeticError):
 
 
 def _check_indices(r: int, j: int) -> None:
-    if not (isinstance(r, int) and isinstance(j, int)):
-        raise TypeError("r and j must be integers")
-    if r < 1 or j < 1 or j > r:
-        raise ValueError(f"require 1 <= j <= r, got r={r}, j={j}")
+    if not (isinstance(r, int) and isinstance(j, int) and 1 <= j <= r):
+        raise InputError(f"require integers 1 <= j <= r, got r={r!r}, j={j!r}")
 
 
 def _coerce(values: Sequence[Rational | int], needed: int) -> list[Fraction]:
     if len(values) < needed:
-        raise ValueError(f"need at least {needed} input values, got {len(values)}")
+        raise InputError(f"x needs at least {needed} values, got {len(values)}")
     return [_exact(v, "x") for v in values[:needed]]
 
 
@@ -110,7 +109,7 @@ def partial_bell_recurrence(r: int, j: int, values: Sequence[Rational | int]) ->
     for jj in range(2, j + 1):
         below, level = level, []
         for g in range(top + 1) if jj < j else (top,):
-            weighted = [binomial(jj + g - 1, i) * x for i, x in enumerate(xs[: g + 1])]
+            weighted = [comb(jj + g - 1, i) * x for i, x in enumerate(xs[: g + 1])]
             level.append(_dot(weighted, below[g::-1]))
     return level[-1]
 
@@ -147,11 +146,11 @@ class BellTable:
 
     def extend(self, r_max: int) -> None:
         if self._limit is not None and r_max > self._limit:
-            raise ValueError(f"input sequence has only {self._limit} terms, cannot extend to r={r_max}")
+            raise InputError(f"input sequence has only {self._limit} terms, cannot extend to r={r_max}")
         while self.r_max < r_max:
             r = self.r_max + 1
             self._xs.append(_exact(self._term(r), "x"))
-            weighted = [binomial(r - 1, i) * x for i, x in enumerate(self._xs)]  # one per row
+            weighted = [comb(r - 1, i) * x for i, x in enumerate(self._xs)]  # one per row
             row = [self._xs[r - 1]]
             for j in range(2, r + 1):
                 row.append(_dot(weighted, [self._rows[r - i][j - 2] for i in range(1, r - j + 2)]))
@@ -164,9 +163,7 @@ class BellTable:
 
     def row(self, r: int) -> tuple[Rational, ...]:
         """(B_{r,1}, ..., B_{r,r})."""
-        if r < 1:
-            raise ValueError("row index must be >= 1")
-        self.extend(r)
+        self.extend(_at_least(r, 1, "row index"))
         return tuple(self._rows[r])
 
 
@@ -177,12 +174,8 @@ def build_bell_table(values: Sequence[Rational | int], r_max: int) -> BellTable:
     j in {1, ceil(r/2), r}; a disagreement means corrupted arithmetic and
     raises ``BellConsistencyError``.
     """
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    if len(values) < r_max:
-        raise ValueError(f"need at least {r_max} input values, got {len(values)}")
     table = BellTable(values)
-    table.extend(r_max)
+    table.extend(_at_least(r_max, 1, "r_max"))
     xs = table.source_prefix
     for r in range(1, min(8, r_max) + 1):
         for j in {1, (r + 1) // 2, r}:
@@ -199,8 +192,6 @@ def complete_bell(r: int, values: Sequence[Rational | int]) -> Rational:
 
     r must be >= 1; the r = 0 convention is deliberately not offered.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("complete Bell polynomial requires integer r >= 1")
-    xs = _coerce(values, r)
+    xs = _coerce(values, _at_least(r, 1, "r"))
     table = BellTable(xs)
     return sum(table.row(r), Fraction(0))

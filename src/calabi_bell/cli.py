@@ -6,15 +6,21 @@ check), ``hr`` (block-scale constants), ``scan`` (sign scan over r, with
 a ``--grid`` variant that scans several q in turn), ``blocks`` (the
 projective-space block demonstration).
 
-Each handler validates its input, computes, and builds its output once:
-a JSON payload (for ``scan`` and ``blocks``, the report's ``to_dict()``)
-whose rendered strings the CSV rows and the table lines reuse. One
-writer, ``_emit``, prints whichever of the three ``--format`` asks for.
-Exact quantities are printed as ``p/q``. Exit codes: 0 success, 1 usage
-error (bad flags, malformed rationals, out-of-range values, a request
-above a work ceiling), 2 internal consistency failure (the cross-checking
-machinery caught a disagreement; this should never happen and is worth a
-bug report).
+Each handler computes and builds its output once: a JSON payload (for
+``scan`` and ``blocks``, the report's ``to_dict()``) whose rendered
+strings the CSV rows and the table lines reuse. One writer, ``_emit``,
+prints whichever of the three ``--format`` asks for. Exact quantities are
+printed as ``p/q``.
+
+The handlers check only the CLI's own rules, the work ceiling
+``RMAX_CEILING`` and "``--order`` unless ``--eval``". Every rule on a
+value (n >= 2, q > 0, 1 <= j <= r, a finite ``--eval`` point >= 0, ...)
+belongs to the library, which raises ``rationals.InputError`` before any
+work starts. Exit codes: 0 success, 1 usage error (bad flags, malformed
+rationals, an ``InputError``), 2 internal consistency failure (the
+cross-checking machinery caught a disagreement; this should never happen
+and is worth a bug report). Any other exception is a fault and
+propagates.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -40,7 +45,7 @@ from .potential import (
     u_coeffs_closed,
     u_coeffs_ode,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import InputError, format_rational, parse_rational
 
 __all__ = ["main", "build_parser"]
 
@@ -49,10 +54,6 @@ FORMATS = ("table", "json", "csv")
 # Work ceiling, checked before any work starts: the largest r that
 # ``scan --rmax``, ``hr --r/--rmax`` and ``blocks --rmax`` accept.
 RMAX_CEILING = 1000
-
-
-class UsageError(Exception):
-    """Invalid input caught after argparse; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,14 +78,9 @@ def _rational_list_arg(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational_arg(piece) for piece in pieces)
 
 
-def _require_positive(value: Fraction, name: str) -> None:
-    if value <= 0:
-        raise UsageError(f"{name} must be positive, got {format_rational(value)}")
-
-
 def _check_rmax(value: int, name: str) -> None:
     if value > RMAX_CEILING:
-        raise UsageError(f"{name} {value} is above the work ceiling RMAX_CEILING = {RMAX_CEILING}")
+        raise InputError(f"{name} {value} is above the work ceiling RMAX_CEILING = {RMAX_CEILING}")
 
 
 def _emit(fmt: str, payload: dict | list, columns: list[str], rows: list, table: list[str]) -> int:
@@ -110,13 +106,6 @@ def _tab(columns: list[str], rows: list[list]) -> list[str]:
 
 def _cmd_bell(args) -> int:
     r, j = args.r, args.j
-    if r < 1:
-        raise UsageError(f"--r must be >= 1, got {r}")
-    if j is not None and not 1 <= j <= r:
-        raise UsageError(f"--j must satisfy 1 <= j <= r, got j={j}, r={r}")
-    needed = r if j is None else r - j + 1
-    if len(args.x) < needed:
-        raise UsageError(f"--x needs at least {needed} values here, got {len(args.x)}")
     if j is not None:
         value = format_rational(partial_bell_recurrence(r, j, args.x))
         payload = {"kind": "partial", "r": r, "j": j}
@@ -131,26 +120,16 @@ def _cmd_bell(args) -> int:
 # -- useries ---------------------------------------------------------------
 
 
-def _params_from(args) -> CalabiParams:
-    if args.n < 2:
-        raise UsageError(f"--n must be >= 2, got {args.n}")
-    _require_positive(args.k0, "--k0")
-    _require_positive(args.c, "--c")
-    return CalabiParams(args.n, args.k0, args.c)
-
-
 def _params_payload(params: CalabiParams) -> dict:
     return {"n": params.n, "k0": format_rational(params.k0), "c": format_rational(params.c)}
 
 
 def _cmd_useries(args) -> int:
-    params = _params_from(args)
+    params = CalabiParams(args.n, args.k0, args.c)
     if args.eval_point is not None:
         return _useries_eval(params, args)
     if args.order is None:
-        raise UsageError("--order is required unless --eval is given")
-    if args.order < 1:
-        raise UsageError(f"--order must be >= 1, got {args.order}")
+        raise InputError("--order is required unless --eval is given")
     if args.method == "closed":
         seq = u_coeffs_closed(params, args.order)
     elif args.method == "ode":
@@ -169,14 +148,9 @@ def _cmd_useries(args) -> int:
 
 def _useries_eval(params: CalabiParams, args) -> int:
     x = args.eval_point
-    if not (math.isfinite(x) and x >= 0):
-        raise UsageError(f"--eval point must be a finite number >= 0, got {x}")
     evaluator = ClosedFormEvaluator(params)
-    try:
-        value, residue = evaluator.u_with_residue(x)
-        report = evaluator.condition_report(x)
-    except ValueError as exc:
-        raise UsageError(f"--eval point {x!r} is out of range: {exc}") from None
+    value, residue = evaluator.u_with_residue(x)
+    report = evaluator.condition_report(x)
     values = {
         "x": x,
         "u": value,
@@ -195,11 +169,8 @@ def _useries_eval(params: CalabiParams, args) -> int:
 
 
 def _cmd_hr(args) -> int:
-    params = _params_from(args)
-    _require_positive(args.m, "--m")
+    params = CalabiParams(args.n, args.k0, args.c)
     r_max = args.r if args.r is not None else args.rmax
-    if r_max < 1:
-        raise UsageError(f"--r/--rmax must be >= 1, got {r_max}")
     _check_rmax(r_max, "--r/--rmax")
     values = h_values(params, args.m, r_max)
     if args.r is not None:
@@ -223,19 +194,12 @@ def _scan_table(scan: dict) -> list[str]:
 
 
 def _cmd_scan(args) -> int:
-    if args.n < 2:
-        raise UsageError(f"--n must be >= 2, got {args.n}")
-    if args.rmax < 1:
-        raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
     _check_rmax(args.rmax, "--rmax")
     if args.grid is not None:
-        for q in args.grid:
-            _require_positive(q, "--grid entries")
         scans = [report.to_dict() for report in scan_grid(args.n, list(args.grid), args.rmax)]
         rows = [[scan["q"], row["r"], row["S"]] for scan in scans for row in scan["rows"]]
         table = "\n\n".join("\n".join(_scan_table(scan)) for scan in scans)
         return _emit(args.format, scans, ["q", "r", "S"], rows, [table])
-    _require_positive(args.q, "--q")
     scan = min_negative_r(args.n, args.q, args.rmax).to_dict()
     rows = [[row["r"], row["S"]] for row in scan["rows"]]
     return _emit(args.format, scan, ["r", "S"], rows, _scan_table(scan))
@@ -245,15 +209,6 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    if args.d < 1:
-        raise UsageError(f"--d must be >= 1, got {args.d}")
-    if args.multiple < 1:
-        raise UsageError(f"--lambda must be >= 1, got {args.multiple}")
-    _require_positive(args.c, "--c")
-    if args.rmax < 0:
-        raise UsageError(f"--rmax must be >= 0, got {args.rmax}")
-    if args.cutoff < 1:
-        raise UsageError(f"--cutoff must be >= 1, got {args.cutoff}")
     _check_rmax(args.rmax, "--rmax")
     scan = eh_block_scan(FubiniStudyBase(args.d, args.multiple), args.c, args.rmax, args.cutoff)
     payload = scan.to_dict()
@@ -361,7 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CoefficientMethodMismatch, BranchResidueError, BellConsistencyError) as exc:

@@ -22,7 +22,8 @@ from functools import cached_property
 from .inequality import min_negative_r
 from .potential import CalabiParams, _scaled
 from .rationals import (
-    Rational, _exact, _Record, factorial, format_rational, generalized_binomial
+    InputError, Rational, _at_least, _exact, _Record, factorial, format_rational,
+    generalized_binomial,
 )
 
 __all__ = [
@@ -55,10 +56,8 @@ class FubiniStudyBase(_Record):
     multiple: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
-        if not isinstance(self.multiple, int) or self.multiple < 1:
-            raise ValueError(f"multiple must be an integer >= 1, got {self.multiple!r}")
+        _at_least(self.d, 1, "d")
+        _at_least(self.multiple, 1, "the multiple lambda")
 
     @property
     def k0(self) -> Fraction:
@@ -77,10 +76,8 @@ class FubiniStudyBase(_Record):
 def monomial_indices(d: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices alpha in N^d with 1 <= |alpha| <= cutoff,
     lexicographically ordered."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+    _at_least(d, 1, "d")
+    _at_least(cutoff, 1, "cutoff")
     # Extending sorted prefixes in increasing order keeps them sorted.
     indices: list[tuple[int, ...]] = [()]
     for _ in range(d):
@@ -112,7 +109,7 @@ class CoeffMatrix(_Record):
         try:
             return self.entries[self._positions[alpha]]
         except KeyError:
-            raise ValueError(f"{alpha!r} is not an index of this matrix") from None
+            raise InputError(f"{alpha!r} is not an index of this matrix") from None
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -143,10 +140,8 @@ def fs_coeff_matrix(base: FubiniStudyBase, r: int, m: int, cutoff: int) -> Coeff
     """The degree-r base block for twist multiple m (exponent computed
     from the base normalization; always a positive integer for a valid
     base, so these are PSD with the obstruction carried by the scale)."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be an integer >= 1")
+    _at_least(r, 0, "r")
+    _at_least(m, 1, "m")
     return fs_power_matrix(base.d, base.exponent_for(r, m), cutoff)
 
 
@@ -197,11 +192,11 @@ def psd_check(matrix: CoeffMatrix | list[list[Rational | int]]) -> str:
     rows = [[_exact(v, "a PSD check entry") for v in row] for row in matrix]
     size = len(rows)
     if any(len(row) != size for row in rows):
-        raise ValueError("dense input must be a square matrix")
+        raise InputError("dense input must be a square matrix")
     for i in range(size):
         for j in range(i + 1, size):
             if rows[i][j] != rows[j][i]:
-                raise ValueError(f"dense input must be symmetric (entries {i},{j})")
+                raise InputError(f"dense input must be symmetric (entries {i},{j})")
     return PSD if _dense_is_psd(rows) else NOT_PSD
 
 
@@ -273,10 +268,8 @@ def eh_block_scan(
     is built, nor any scale past the witness, so the cutoff sets no cost.
     """
     params = CalabiParams(base.d + 1, base.k0, c)  # validates c
-    if r_max < 0:
-        raise ValueError("r_max must be >= 0")
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+    _at_least(r_max, 0, "r_max")
+    _at_least(cutoff, 1, "cutoff")
     reason, blocks = None, ()
     if not base.half_k0_integral:
         reason = (

@@ -30,7 +30,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from .bell import BellConsistencyError, BellTable
-from .rationals import Rational, _exact, _Record, format_rational
+from .rationals import Rational, _at_least, _positive, _Record, format_rational
 
 __all__ = [
     "normalized_term",
@@ -46,23 +46,10 @@ __all__ = [
 RECHECK_MAX_R = 40
 
 
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-
-
-def _check_q(q: Rational | int) -> Fraction:
-    q = _exact(q, "q")
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
-    return q
-
-
 def normalized_term(n: int, l: int) -> Fraction:
     """x_l = (1/l) prod_{s=1}^{l-1} (n s - 1); x_1 = 1 for every n."""
-    _check_n(n)
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    _at_least(n, 2, "n")
+    _at_least(l, 1, "l")
     prod = 1
     for s in range(1, l):
         prod *= n * s - 1
@@ -71,8 +58,7 @@ def normalized_term(n: int, l: int) -> Fraction:
 
 def normalized_sequence(n: int, length: int) -> tuple[Fraction, ...]:
     """(x_1, ..., x_length): strictly positive, exact."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    _at_least(length, 1, "length")
     return tuple(normalized_term(n, l) for l in range(1, length + 1))
 
 
@@ -85,10 +71,9 @@ def alternating_bell_sum(
     scan's kernel (see ``_recheck``). Pass a ``table`` built over
     ``normalized_term(n, .)`` to amortize the triangle across many r.
     """
-    _check_n(n)
-    q = _check_q(q)
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    _at_least(n, 2, "n")
+    q = _positive(q, "q")
+    _at_least(r, 1, "r")
     if table is None:
         table = BellTable(lambda l: normalized_term(n, l))
     acc = Fraction(0)
@@ -227,10 +212,9 @@ def min_negative_r(
     ``normalized_term(n, .)`` (the same n) lets many scans share one
     triangle; without one, the re-check builds its own.
     """
-    _check_n(n)
-    q = _check_q(q)
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
+    _at_least(n, 2, "n")
+    q = _positive(q, "q")
+    _at_least(r_max, 1, "r_max")
     rows = []
     witness = None
     for r, value in enumerate(_s_rows(n, q, r_max), 1):
@@ -248,10 +232,9 @@ def scan_grid(n: int, qs: list[Rational | int], r_max: int = 200) -> list[ScanRe
     starts. The scans share one Bell triangle for their
     r <= ``RECHECK_MAX_R`` re-checks, so it is built only up to the largest
     re-checked row."""
-    _check_n(n)
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    checked = [_check_q(q) for q in qs]
+    _at_least(n, 2, "n")
+    _at_least(r_max, 1, "r_max")
+    checked = [_positive(q, "q") for q in qs]
     table = BellTable(lambda l: normalized_term(n, l))
     return [min_negative_r(n, q, r_max, table) for q in checked]
 
@@ -263,7 +246,7 @@ def q_decomposition(q: Rational | int) -> tuple[int, int]:
     Writing q = a/b in lowest terms, every integral representation is
     (a t, b t); the smallest t making b t even is 1 or 2.
     """
-    q = _check_q(q)
+    q = _positive(q, "q")
     a, b = q.numerator, q.denominator
     if b % 2 == 0:
         return a, b

@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 
 from .inequality import _recheck, _s_rows
-from .rationals import Rational, _exact, _Record, factorial
+from .rationals import InputError, Rational, _at_least, _exact, _positive, _Record, factorial
 from .series import TruncatedSeries
 
 __all__ = [
@@ -79,14 +79,9 @@ class CalabiParams(_Record):
     c: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "k0", _exact(self.k0, "k0"))
-        object.__setattr__(self, "c", _exact(self.c, "c"))
-        if self.k0 <= 0:
-            raise ValueError(f"k0 must be positive, got {self.k0}")
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        _at_least(self.n, 2, "n")
+        object.__setattr__(self, "k0", _positive(self.k0, "k0"))
+        object.__setattr__(self, "c", _positive(self.c, "c"))
 
     @property
     def radicand_slope(self) -> Fraction:
@@ -108,7 +103,7 @@ class CoefficientSequence(_Record):
 
     def __post_init__(self) -> None:
         if self.method not in self._METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
+            raise InputError(f"unknown method tag {self.method!r}")
         object.__setattr__(self, "values", tuple(_exact(v, "a_j") for v in self.values))
 
     @property
@@ -130,8 +125,7 @@ def u_coeffs_closed(params: CalabiParams, order: int) -> CoefficientSequence:
     The product is never zero for n >= 2, so the signs alternate strictly
     starting from a_1 = c > 0. Integers throughout; one reduction per a_j.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _at_least(order, 1, "order")
     (cn, cd), (kn, kd) = params.c.as_integer_ratio(), params.k0.as_integer_ratio()
     num, den, values = cn, cd, []
     for j in range(1, order + 1):
@@ -163,8 +157,7 @@ def u_coeffs_ode(params: CalabiParams, order: int) -> CoefficientSequence:
     substitution, a_j = c^j k0^{j-1} d_{j-1} / j: one exact division
     per coefficient.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _at_least(order, 1, "order")
     alpha = params.n - 1
     d = [1]
     row = [1]  # C(r, 0..r)
@@ -223,9 +216,7 @@ def condition_series_residual(params: CalabiParams, order: int) -> TruncatedSeri
     inside ``u_coeffs_ode``. Identically zero through the requested order
     when the solver is consistent.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    depth = order + 1
+    depth = _at_least(order, 1, "order") + 1
     seq = u_coeffs_ode(params, depth + 1)
     u_prime = TruncatedSeries(tuple(seq.values[k] / factorial(k) for k in range(depth + 1)))
     x = TruncatedSeries.x(depth)
@@ -251,11 +242,8 @@ def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[HrVal
     degree-r blocks in the fiberwise expansion of the embedding candidate.
     S comes from the scan's kernel; row r_max is re-checked like a scan's.
     """
-    m = _exact(m, "m")
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
+    m = _positive(m, "m")
+    _at_least(r_max, 1, "r_max")
     q = m / params.k0
     rows = list(_s_rows(params.n, q, r_max))
     _recheck(params.n, q, r_max, rows[-1])
@@ -306,8 +294,9 @@ class ClosedFormEvaluator:
     imaginary parts cancel in conjugate pairs. The leftover imaginary
     residue is checked against ``imag_tol`` on every call; exceeding it
     means a branch was crossed and raises ``BranchResidueError`` instead
-    of returning a silently wrong value. An x whose radicand or value of
-    u, u' or u'' does not fit in a double raises ``ValueError``.
+    of returning a silently wrong value. An x that is not a finite
+    number >= 0, or whose radicand or value of u, u' or u'' does not fit
+    in a double, raises ``InputError``.
     """
 
     def __init__(self, params: CalabiParams, imag_tol: float = 1e-10):
@@ -324,15 +313,15 @@ class ClosedFormEvaluator:
 
     def _t(self, x: float) -> float:
         if not (math.isfinite(x) and x >= 0):
-            raise ValueError(f"the potential is defined for finite x >= 0, got {x}")
+            raise InputError(f"x must be a finite number >= 0, got {x}")
         radicand = 1.0 + self._slope * x
         if not math.isfinite(radicand):
-            raise ValueError(f"the radicand 1 + n k0 c x overflows a double at x={x}")
+            raise InputError(f"the radicand 1 + n k0 c x overflows a double at x={x}")
         return radicand ** (1.0 / self._n)
 
     def _guard(self, value: complex, x: float, what: str) -> tuple[float, float]:
         if not math.isfinite(value.real):
-            raise ValueError(f"{what} is not a finite double at x={x}")
+            raise InputError(f"{what} is not a finite double at x={x}")
         residue = abs(value.imag)
         if not residue <= self.imag_tol:  # a NaN residue fails too
             raise BranchResidueError(

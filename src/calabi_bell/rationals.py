@@ -13,11 +13,17 @@ What this module adds is the thin contract layer the rest of the package
   matrix entries, and this module's own helpers) passes through it; a
   ``float`` raises ``TypeError`` there and a string must pass
   ``parse_rational``, as every CLI flag does,
+* ``InputError``, the ``ValueError`` of every input value the package
+  refuses (a float stays a ``TypeError``, at ``_exact``), and the two
+  range rules the other modules call: ``_at_least`` (an int >= a bound)
+  and ``_positive`` (``_exact``, then > 0). The CLI restates none of
+  them: it prints an ``InputError`` as ``error: ...`` and exits 1,
 * strict ``"p/q"`` parsing and rendering (the textual form used in JSON
   and CSV output; decimal strings are rejected so nothing silently goes
   through floating point),
-* factorials and binomial coefficients (stdlib ``math``, re-exported so
-  call sites stay uniform),
+* factorials and binomial coefficients (stdlib ``math``; ``binomial``
+  checks its arguments, so the Bell loops, whose indices are valid by
+  construction, call ``math.comb``),
 * generalized binomial coefficients with rational upper argument, which
   the diastasis code needs for non-integer exponents,
 * ``_dot``, the one exact sum of products (series, Bell recurrences),
@@ -32,6 +38,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 __all__ = [
+    "InputError",
     "Rational",
     "rational",
     "parse_rational",
@@ -45,6 +52,25 @@ __all__ = [
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
+
+
+class InputError(ValueError):
+    """An input value outside its domain: the package's one refusal type."""
+
+
+def _at_least(value: int, low: int, what: str) -> int:
+    """``value``, an int >= ``low``, or ``InputError``."""
+    if not (isinstance(value, int) and value >= low):
+        raise InputError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _positive(value: Rational | int | str, what: str) -> Fraction:
+    """``_exact(value)``, which must be > 0, or ``InputError``."""
+    value = _exact(value, what)
+    if value <= 0:
+        raise InputError(f"{what} must be positive, got {value}")
+    return value
 
 
 def _exact(value: Rational | int | str, what: str = "value") -> Fraction:
@@ -78,13 +104,13 @@ def parse_rational(text: str) -> Rational:
     """
     match = _RATIONAL_RE.match(text)
     if match is None:
-        raise ValueError(f"not a rational 'p/q': {text!r}")
+        raise InputError(f"not a rational 'p/q': {text!r}")
     numerator = int(match.group(1))
     if match.group(2) is None:
         return Fraction(numerator)
     denominator = int(match.group(2))
     if denominator == 0:
-        raise ValueError(f"zero denominator: {text!r}")
+        raise InputError(f"zero denominator: {text!r}")
     return Fraction(numerator, denominator)
 
 
@@ -102,9 +128,7 @@ def factorial(n: int) -> int:
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) for non-negative integers; 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial expects non-negative integer arguments")
-    return math.comb(n, k)
+    return math.comb(_at_least(n, 0, "n"), _at_least(k, 0, "k"))
 
 
 def generalized_binomial(a: Rational | int, k: int) -> Rational:
@@ -113,8 +137,7 @@ def generalized_binomial(a: Rational | int, k: int) -> Rational:
     Agrees with ``binomial`` whenever a is a non-negative integer, and is
     the coefficient of x^k in the binomial series of (1+x)^a otherwise.
     """
-    if k < 0:
-        raise ValueError("lower index must be a non-negative integer")
+    _at_least(k, 0, "k")
     a = _exact(a, "a")
     numerator = Fraction(1)
     for i in range(k):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .rationals import Rational, _dot, _exact, _Record
+from .rationals import InputError, Rational, _at_least, _dot, _exact, _Record
 
 __all__ = ["TruncatedSeries", "exp_of"]
 
@@ -29,7 +29,7 @@ class TruncatedSeries(_Record):
 
     def __post_init__(self) -> None:
         if not self.coeffs:
-            raise ValueError("a truncated series needs at least the constant term")
+            raise InputError("a truncated series needs at least the constant term")
         object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
 
     @classmethod
@@ -38,8 +38,7 @@ class TruncatedSeries(_Record):
 
     @classmethod
     def constant(cls, value: Rational | int, order: int) -> "TruncatedSeries":
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        _at_least(order, 0, "order")
         return cls((_exact(value),) + (Fraction(0),) * order)
 
     @classmethod
@@ -53,8 +52,7 @@ class TruncatedSeries(_Record):
     @classmethod
     def x(cls, order: int) -> "TruncatedSeries":
         """The identity series x, truncated at the given order (>= 1)."""
-        if order < 1:
-            raise ValueError("the identity series needs order >= 1")
+        _at_least(order, 1, "order")
         return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
 
     @property
@@ -72,7 +70,7 @@ class TruncatedSeries(_Record):
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate order-{self.order} series to order {order}")
+            raise InputError(f"cannot truncate order-{self.order} series to order {order}")
         return TruncatedSeries(self.coeffs[: order + 1])
 
     # -- ring operations ------------------------------------------------
@@ -110,8 +108,7 @@ class TruncatedSeries(_Record):
     def pow_int(self, exponent: int) -> "TruncatedSeries":
         """Integer power, exponent >= 0, by repeated squaring (truncated
         products associate); exponent 0 gives 1 at the same order."""
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        _at_least(exponent, 0, "exponent")
         result = self if exponent else TruncatedSeries.one(self.order)
         for bit in bin(exponent)[3:]:  # the bits after the leading one
             result = result * result
@@ -124,7 +121,7 @@ class TruncatedSeries(_Record):
     def derivative(self) -> "TruncatedSeries":
         """Termwise d/dx; the result order drops by one (order >= 1 required)."""
         if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 series")
+            raise InputError("cannot differentiate an order-0 series")
         return TruncatedSeries(tuple(k * self.coeffs[k] for k in range(1, self.order + 1)))
 
     def evaluate(self, point: Rational | int) -> Fraction:
@@ -148,7 +145,7 @@ def exp_of(series: TruncatedSeries) -> TruncatedSeries:
     drag in e^{c_0} and is rejected.
     """
     if series.coeffs[0] != 0:
-        raise ValueError("exp_of requires a zero constant term")
+        raise InputError("exp_of requires a zero constant term")
     weighted = [i * a for i, a in enumerate(series.coeffs)]
     b = [Fraction(1)]
     for k in range(1, series.order + 1):

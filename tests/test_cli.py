@@ -75,7 +75,7 @@ class TestBell:
     def test_short_x_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bell", "--r", "4", "--j", "2", "--x", "1,1")
         assert code == 1
-        assert "--x needs at least 3" in err
+        assert err == "error: x needs at least 3 values, got 2\n"
 
     def test_j_near_deep_r(self, capsys):
         code, out, _ = run_cli(capsys, "bell", "--r", "2002", "--j", "2000", "--x", "1,1,1")
@@ -160,7 +160,7 @@ class TestUseries:
         )
         assert code == 1
         assert out == ""
-        assert "--eval point must be a finite number" in err
+        assert err == f"error: x must be a finite number >= 0, got {point}\n"
 
     @pytest.mark.parametrize("n", ["2", "3"])
     @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -170,7 +170,7 @@ class TestUseries:
         )
         assert code == 1
         assert out == ""
-        assert "--eval point 1e+308 is out of range" in err
+        assert err == "error: the radicand 1 + n k0 c x overflows a double at x=1e+308\n"
 
     def test_large_finite_eval_unchanged(self, capsys):
         args = ("useries", "--n", "2", "--k0", "2", "--c", "1", "--eval", "1e200")
@@ -200,14 +200,14 @@ class TestUseries:
     def test_bad_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "useries", "--n", "1", "--k0", "2", "--c", "1", "--order", "2")
         assert code == 1
-        assert "--n must be >= 2" in err
+        assert err == "error: n must be an integer >= 2, got 1\n"
 
     def test_nonpositive_k0_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "useries", "--n", "2", "--k0", "0", "--c", "1", "--order", "2"
         )
         assert code == 1
-        assert "--k0 must be positive" in err
+        assert err == "error: k0 must be positive, got 0\n"
 
 
 class TestHr:
@@ -369,7 +369,7 @@ class TestScan:
     def test_nonpositive_q(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--n", "2", "--q=-1/2")
         assert code == 1
-        assert "--q must be positive" in err
+        assert err == "error: q must be positive, got -1/2\n"
 
 
 class TestBlocks:
@@ -438,7 +438,7 @@ class TestBlocks:
     def test_bad_lambda(self, capsys):
         code, _, err = run_cli(capsys, "blocks", "--d", "1", "--lambda", "0", "--c", "1")
         assert code == 1
-        assert "--lambda must be >= 1" in err
+        assert err == "error: the multiple lambda must be an integer >= 1, got 0\n"
 
 
 class TestTimeBudget:
@@ -494,6 +494,37 @@ class TestWorkCeilings:
         # that the run would start.
         with pytest.raises(AssertionError, match="work started"):
             main(["scan", "--n", "2", "--q", "3", "--rmax", str(RMAX_CEILING)])
+
+
+class TestErrorBoundary:
+    """``main`` turns a library ``InputError``, and only that, into exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bell", "--r", "1", "--x", "1"),
+            ("useries", "--n", "2", "--k0", "2", "--c", "1", "--order", "1"),
+            ("hr", "--n", "2", "--k0", "2", "--c", "1", "--m", "1", "--r", "1"),
+            ("scan", "--n", "2", "--q", "1"),
+            ("blocks", "--d", "1", "--lambda", "2", "--c", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_plain_value_error_propagates(self, capsys, monkeypatch, argv):
+        def fault(args):
+            raise ValueError("an internal fault")
+
+        monkeypatch.setattr(cli_mod, f"_cmd_{argv[0]}", fault)
+        with pytest.raises(ValueError, match="an internal fault") as caught:
+            main(list(argv))
+        assert type(caught.value) is ValueError
+        assert capsys.readouterr() == ("", "")
+
+    def test_refusal_in_a_fresh_process(self):
+        argv = [sys.executable, "-m", "calabi_bell", "scan", "--n", "1", "--q", "1"]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: n must be an integer >= 2, got 1\n"
 
 
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text())

@@ -15,7 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from calabi_bell.rationals import (
+    InputError,
+    _at_least,
     _dot,
+    _positive,
     binomial,
     factorial,
     format_rational,
@@ -173,3 +176,34 @@ class TestCombinatorics:
             lhs = generalized_binomial(a + 1, k)
             rhs = generalized_binomial(a, k) + generalized_binomial(a, k - 1)
             assert lhs == rhs
+
+
+class TestInputRules:
+    def test_input_error_is_a_value_error(self):
+        assert issubclass(InputError, ValueError)
+        try:
+            _at_least(1, 2, "n")
+        except ValueError as exc:  # how a library caller catches it
+            assert type(exc) is InputError
+        else:
+            pytest.fail("no refusal")
+
+    def test_at_least(self):
+        assert _at_least(2, 2, "n") == 2
+        assert _at_least(10**30, -5, "k") == 10**30
+        for bad in (1, -2, Fraction(3), 2.0, "3", None):
+            with pytest.raises(InputError) as caught:
+                _at_least(bad, 2, "n")
+            assert str(caught.value) == f"n must be an integer >= 2, got {bad!r}"
+
+    def test_positive(self):
+        assert _positive("3/4", "q") == Fraction(3, 4)
+        assert type(_positive(True, "q")) is Fraction
+        for bad, shown in ((0, "0"), (Fraction(-1, 2), "-1/2"), ("-6/8", "-3/4")):
+            with pytest.raises(InputError) as caught:
+                _positive(bad, "q")
+            assert str(caught.value) == f"q must be positive, got {shown}"
+        with pytest.raises(TypeError, match="must be exact"):
+            _positive(0.5, "q")
+        with pytest.raises(InputError, match="not a rational"):
+            _positive("0.5", "q")
