@@ -33,13 +33,13 @@ __all__ = [
     "partial_bell_partition",
     "partial_bell_recurrence",
     "BellTable",
-    "build_bell_table",
     "complete_bell",
 ]
 
 
 class BellConsistencyError(ArithmeticError):
-    """The recurrence-built table disagreed with the defining partition sum."""
+    """A scan's integer kernel disagreed with the Bell triangle over x_l
+    (raised by ``inequality._recheck``)."""
 
 
 def _check_indices(r: int, j: int) -> None:
@@ -139,11 +139,6 @@ class BellTable:
     def r_max(self) -> int:
         return len(self._rows) - 1
 
-    @property
-    def source_prefix(self) -> tuple[Fraction, ...]:
-        """The input values consumed so far, (x_1, ..., x_{r_max})."""
-        return tuple(self._xs)
-
     def extend(self, r_max: int) -> None:
         if self._limit is not None and r_max > self._limit:
             raise InputError(f"input sequence has only {self._limit} terms, cannot extend to r={r_max}")
@@ -165,26 +160,6 @@ class BellTable:
         """(B_{r,1}, ..., B_{r,r})."""
         self.extend(_at_least(r, 1, "row index"))
         return tuple(self._rows[r])
-
-
-def build_bell_table(values: Sequence[Rational | int], r_max: int) -> BellTable:
-    """Build the full triangle up to r_max and spot-check it.
-
-    Rows r <= 8 are cross-validated against the defining partition sum at
-    j in {1, ceil(r/2), r}; a disagreement means corrupted arithmetic and
-    raises ``BellConsistencyError``.
-    """
-    table = BellTable(values)
-    table.extend(_at_least(r_max, 1, "r_max"))
-    xs = table.source_prefix
-    for r in range(1, min(8, r_max) + 1):
-        for j in {1, (r + 1) // 2, r}:
-            expected = partial_bell_partition(r, j, xs)
-            if table.value(r, j) != expected:
-                raise BellConsistencyError(
-                    f"table entry B({r},{j}) = {table.value(r, j)} disagrees with partition sum {expected}"
-                )
-    return table
 
 
 def complete_bell(r: int, values: Sequence[Rational | int]) -> Rational:

@@ -17,7 +17,6 @@ and builds no matrix; ``fs_coeff_matrix`` builds a block's matrix on request.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from .inequality import min_negative_r
 from .potential import CalabiParams, _scaled
@@ -90,8 +89,9 @@ class CoeffMatrix(_Record):
 
     Rows and columns are the monomials z^alpha, 1 <= |alpha| <= cutoff, in
     lexicographic order; rotation invariance makes every off-diagonal
-    entry vanish, so only the diagonal is stored. The entry at alpha is
-    C(N, |alpha|) * multinomial(|alpha|; alpha), exact.
+    entry vanish, so only the diagonal is stored: ``entries[i]``, the
+    entry at alpha = ``indices[i]``, is C(N, |alpha|) * multinomial(|alpha|;
+    alpha), exact.
     """
 
     d: int
@@ -99,21 +99,6 @@ class CoeffMatrix(_Record):
     cutoff: int
     indices: tuple[tuple[int, ...], ...]
     entries: tuple[Fraction, ...]
-
-    @cached_property
-    def _positions(self) -> dict[tuple[int, ...], int]:
-        return {alpha: i for i, alpha in enumerate(self.indices)}
-
-    def entry(self, alpha: tuple[int, ...]) -> Fraction:
-        """The diagonal entry at z^alpha; ``ValueError`` if alpha is not an index."""
-        try:
-            return self.entries[self._positions[alpha]]
-        except KeyError:
-            raise InputError(f"{alpha!r} is not an index of this matrix") from None
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sum(alpha) for alpha in self.indices)
 
 
 def fs_power_matrix(d: int, exponent: Rational | int, cutoff: int) -> CoeffMatrix:

@@ -34,12 +34,10 @@ from .rationals import Rational, _at_least, _positive, _Record, format_rational
 
 __all__ = [
     "normalized_term",
-    "normalized_sequence",
     "alternating_bell_sum",
     "ScanReport",
     "min_negative_r",
     "scan_grid",
-    "q_decomposition",
 ]
 
 # Scans and h_values re-derive a last row up to this r by the Bell triangle.
@@ -54,12 +52,6 @@ def normalized_term(n: int, l: int) -> Fraction:
     for s in range(1, l):
         prod *= n * s - 1
     return Fraction(prod, l)
-
-
-def normalized_sequence(n: int, length: int) -> tuple[Fraction, ...]:
-    """(x_1, ..., x_length): strictly positive, exact."""
-    _at_least(length, 1, "length")
-    return tuple(normalized_term(n, l) for l in range(1, length + 1))
 
 
 def alternating_bell_sum(
@@ -78,9 +70,9 @@ def alternating_bell_sum(
         table = BellTable(lambda l: normalized_term(n, l))
     acc = Fraction(0)
     power = Fraction(1)
-    for j in range(1, r + 1):
+    for entry in table.row(r):  # B_{r,1}, ..., B_{r,r}
         power *= -q
-        acc += power * table.value(r, j)
+        acc += power * entry
     return acc if r % 2 == 0 else -acc
 
 
@@ -237,17 +229,3 @@ def scan_grid(n: int, qs: list[Rational | int], r_max: int = 200) -> list[ScanRe
     checked = [_positive(q, "q") for q in qs]
     table = BellTable(lambda l: normalized_term(n, l))
     return [min_negative_r(n, q, r_max, table) for q in checked]
-
-
-def q_decomposition(q: Rational | int) -> tuple[int, int]:
-    """The minimal (m, k0) with m/k0 = q, m a positive integer, k0/2 a
-    positive integer.
-
-    Writing q = a/b in lowest terms, every integral representation is
-    (a t, b t); the smallest t making b t even is 1 or 2.
-    """
-    q = _positive(q, "q")
-    a, b = q.numerator, q.denominator
-    if b % 2 == 0:
-        return a, b
-    return 2 * a, 2 * b

@@ -25,7 +25,7 @@ closed form numerically:
   principal-branch logarithms against the nontrivial n-th roots of
   unity (the imaginary parts must cancel; a residue above tolerance
   raises rather than silently returning a wrong branch);
-* ``h_r`` / ``h_values``: the exact constants
+* ``h_values``: the exact constants
   h_r = (1/r!) sum_j m^j B_{r,j}(a_1..a_r) that scale the degree-r
   blocks of e^{m u} - 1, as (c k0)^r / r! S(n, m/k0, r) from ``inequality``.
 """
@@ -51,7 +51,6 @@ __all__ = [
     "taylor_series",
     "condition_series_residual",
     "HrValue",
-    "h_r",
     "h_values",
     "ConditionReport",
     "ClosedFormEvaluator",
@@ -259,11 +258,6 @@ def _scaled(params: CalabiParams, rows: list[Fraction]) -> list[Fraction]:
     return scales
 
 
-def h_r(params: CalabiParams, m: Rational | int, r: int) -> HrValue:
-    """A single block-scale constant; see ``h_values`` for batches."""
-    return h_values(params, m, r)[-1]
-
-
 class ConditionReport(_Record):
     """Pointwise numeric check of the defining condition at one x.
 
@@ -280,6 +274,18 @@ class ConditionReport(_Record):
     imaginary_residue: float
 
 
+def _double(value: Fraction, what: str) -> float:
+    """``float(value)`` of a rational > 0, or ``InputError`` if it is
+    infinite or zero there."""
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if not 0 < result < math.inf:
+        raise InputError(f"{what} {'overflows' if result else 'underflows'} a double")
+    return result
+
+
 class ClosedFormEvaluator:
     """Double-precision evaluation of u, u', u'' from the closed form.
 
@@ -294,18 +300,19 @@ class ClosedFormEvaluator:
     imaginary parts cancel in conjugate pairs. The leftover imaginary
     residue is checked against ``imag_tol`` on every call; exceeding it
     means a branch was crossed and raises ``BranchResidueError`` instead
-    of returning a silently wrong value. An x that is not a finite
-    number >= 0, or whose radicand or value of u, u' or u'' does not fit
-    in a double, raises ``InputError``.
+    of returning a silently wrong value. Parameters k0, c or n k0 c that
+    overflow or underflow a double raise ``InputError`` on construction,
+    as does, on a call, an x that is not a finite number >= 0 or whose
+    radicand or value of u, u' or u'' does not fit in a double.
     """
 
     def __init__(self, params: CalabiParams, imag_tol: float = 1e-10):
         self.params = params
         self.imag_tol = float(imag_tol)
         self._n = params.n
-        self._k0 = float(params.k0)
-        self._c = float(params.c)
-        self._slope = float(params.radicand_slope)
+        self._k0 = _double(params.k0, "k0")
+        self._c = _double(params.c, "c")
+        self._slope = _double(params.radicand_slope, "n k0 c")
         self._roots = tuple(
             cmath.exp(2j * cmath.pi * j / params.n) for j in range(1, params.n)
         )

@@ -21,11 +21,10 @@ What this module adds is the thin contract layer the rest of the package
 * strict ``"p/q"`` parsing and rendering (the textual form used in JSON
   and CSV output; decimal strings are rejected so nothing silently goes
   through floating point),
-* factorials and binomial coefficients (stdlib ``math``; ``binomial``
-  checks its arguments, so the Bell loops, whose indices are valid by
-  construction, call ``math.comb``),
-* generalized binomial coefficients with rational upper argument, which
-  the diastasis code needs for non-integer exponents,
+* factorials (stdlib ``math``; the Bell loops take their binomials from
+  ``math.comb``), and generalized binomial coefficients with rational
+  upper argument, which the diastasis code needs for non-integer
+  exponents,
 * ``_dot``, the one exact sum of products (series, Bell recurrences),
 * ``_Record``, the base of the package's immutable value classes.
 """
@@ -40,11 +39,9 @@ from fractions import Fraction
 __all__ = [
     "InputError",
     "Rational",
-    "rational",
     "parse_rational",
     "format_rational",
     "factorial",
-    "binomial",
     "generalized_binomial",
 ]
 
@@ -86,15 +83,6 @@ def _exact(value: Rational | int | str, what: str = "value") -> Fraction:
     return Fraction(value)
 
 
-def rational(numerator: int | str | Rational, denominator: int | None = None) -> Rational:
-    """Build a canonical rational from ints, a Fraction, or a 'p/q' string."""
-    if denominator is None:
-        return _exact(numerator)
-    if isinstance(numerator, str):
-        raise TypeError("denominator not allowed with a string argument")
-    return Fraction(numerator, denominator)
-
-
 def parse_rational(text: str) -> Rational:
     """Parse ``"p/q"`` (or a bare integer ``"p"``) into a canonical rational.
 
@@ -126,15 +114,10 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for non-negative integers; 0 when k > n."""
-    return math.comb(_at_least(n, 0, "n"), _at_least(k, 0, "k"))
-
-
 def generalized_binomial(a: Rational | int, k: int) -> Rational:
     """Binomial coefficient C(a, k) = a(a-1)...(a-k+1)/k! for rational a.
 
-    Agrees with ``binomial`` whenever a is a non-negative integer, and is
+    Agrees with ``math.comb`` whenever a is a non-negative integer, and is
     the coefficient of x^k in the binomial series of (1+x)^a otherwise.
     """
     _at_least(k, 0, "k")

@@ -10,7 +10,6 @@ is one ``rationals._dot``, so it is normalized once.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .rationals import InputError, Rational, _at_least, _dot, _exact, _Record
@@ -33,17 +32,9 @@ class TruncatedSeries(_Record):
         object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
 
     @classmethod
-    def from_coefficients(cls, coeffs: Sequence[Rational | int]) -> "TruncatedSeries":
-        return cls(tuple(coeffs))
-
-    @classmethod
     def constant(cls, value: Rational | int, order: int) -> "TruncatedSeries":
         _at_least(order, 0, "order")
         return cls((_exact(value),) + (Fraction(0),) * order)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.constant(0, order)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -63,15 +54,6 @@ class TruncatedSeries(_Record):
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient index {k} outside 0..{self.order}")
         return self.coeffs[k]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if not 0 <= order <= self.order:
-            raise InputError(f"cannot truncate order-{self.order} series to order {order}")
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     # -- ring operations ------------------------------------------------
 

@@ -12,12 +12,11 @@ import pytest
 from calabi_bell.bell import (
     BellConsistencyError,
     BellTable,
-    build_bell_table,
     complete_bell,
     partial_bell_partition,
     partial_bell_recurrence,
 )
-from calabi_bell.inequality import normalized_sequence
+from calabi_bell.inequality import min_negative_r, normalized_term
 
 
 def random_fractions(rng, count, span=9):
@@ -164,7 +163,8 @@ class TestStructure:
 
 class TestTable:
     def test_minimal_table(self):
-        table = build_bell_table([1], 1)
+        table = BellTable([1])
+        table.extend(1)
         assert table.value(1, 1) == 1
         assert table.r_max == 1
 
@@ -179,7 +179,7 @@ class TestTable:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_rows_match_plain_fraction_triangle(self, n):
-        xs = normalized_sequence(n, 30)
+        xs = [normalized_term(n, l) for l in range(1, 31)]
         expected = fraction_triangle(xs, 30)
         table = BellTable(xs)
         for r in range(1, 31):
@@ -190,7 +190,7 @@ class TestTable:
     def test_callable_source(self):
         table = BellTable(lambda l: Fraction(1, l))
         assert table.value(3, 3) == 1
-        assert table.source_prefix == (1, Fraction(1, 2), Fraction(1, 3))
+        assert [table.value(l, 1) for l in (1, 2, 3)] == [1, Fraction(1, 2), Fraction(1, 3)]
 
     def test_finite_source_exhaustion(self):
         table = BellTable([1, 1])
@@ -199,17 +199,20 @@ class TestTable:
 
     def test_build_validates_against_partition_sums(self):
         rng = random.Random(9)
-        table = build_bell_table(random_fractions(rng, 10), 10)
-        assert table.r_max == 10
+        xs = random_fractions(rng, 10)
+        table = BellTable(xs)
+        table.extend(10)
+        for r in range(1, 11):
+            assert table.row(r) == tuple(partial_bell_partition(r, j, xs) for j in range(1, r + 1))
 
     def test_build_surfaces_corruption(self, monkeypatch):
+        # A triangle built with corrupted sums fails the scan's re-check.
         import calabi_bell.bell as bell_mod
 
-        monkeypatch.setattr(
-            bell_mod, "partial_bell_partition", lambda r, j, xs: Fraction(10**9)
-        )
+        exact_dot = bell_mod._dot
+        monkeypatch.setattr(bell_mod, "_dot", lambda xs, ys: exact_dot(xs, ys) + 1)
         with pytest.raises(BellConsistencyError):
-            build_bell_table([1, 1, 1], 3)
+            min_negative_r(2, 3, 10)
 
 
 class TestValidation:

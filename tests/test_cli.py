@@ -172,6 +172,20 @@ class TestUseries:
         assert out == ""
         assert err == "error: the radicand 1 + n k0 c x overflows a double at x=1e+308\n"
 
+    @pytest.mark.parametrize(
+        "k0,c,message",
+        [
+            ("1" + "0" * 400, "1", "k0 overflows a double"),
+            ("1/1" + "0" * 400, "1", "k0 underflows a double"),
+            ("2", "1/1" + "0" * 400, "c underflows a double"),
+            ("1" + "0" * 200, "1" + "0" * 200, "n k0 c overflows a double"),
+        ],
+        ids=["k0=10^400", "k0=10^-400", "c=10^-400", "k0=c=10^200"],
+    )
+    def test_parameters_outside_a_double_are_usage_errors(self, capsys, k0, c, message):
+        code, out, err = run_cli(capsys, "useries", "--n", "2", "--k0", k0, "--c", c, "--eval", "1")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_large_finite_eval_unchanged(self, capsys):
         args = ("useries", "--n", "2", "--k0", "2", "--c", "1", "--eval", "1e200")
         expected = {

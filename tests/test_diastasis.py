@@ -3,6 +3,7 @@ integer and fractional powers, the exact PSD check (diagonal and dense),
 and the block scan on the projective line."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -83,7 +84,7 @@ class TestCoeffMatrix:
     def test_power_three(self):
         matrix = fs_power_matrix(1, 3, 3)
         assert matrix.entries == (3, 3, 1)
-        assert matrix.degrees == (1, 2, 3)
+        assert matrix.indices == ((1,), (2,), (3,))
 
     def test_power_half_goes_negative(self):
         matrix = fs_power_matrix(1, Fraction(1, 2), 2)
@@ -92,18 +93,20 @@ class TestCoeffMatrix:
     def test_multinomial_weights_d2(self):
         matrix = fs_power_matrix(2, 2, 2)
         # (1 + w1 + w2)^2: degree-1 entries 2, degree-2 entries 1, 2, 1.
-        assert matrix.entry((0, 1)) == 2
-        assert matrix.entry((1, 0)) == 2
-        assert matrix.entry((1, 1)) == 2
-        assert matrix.entry((2, 0)) == 1
-        assert matrix.entry((0, 2)) == 1
+        assert dict(zip(matrix.indices, matrix.entries)) == {
+            (0, 1): 2, (1, 0): 2, (1, 1): 2, (2, 0): 1, (0, 2): 1,
+        }
 
     def test_entry_at_every_index(self):
+        # entries[i] is C(N, |alpha|) * multinomial(|alpha|; alpha) at alpha = indices[i].
+        from calabi_bell.rationals import generalized_binomial
+
         matrix = fs_power_matrix(3, Fraction(5, 2), 5)
-        for position, alpha in enumerate(matrix.indices):
-            assert matrix.entry(alpha) == matrix.entries[position]
-        with pytest.raises(ValueError):
-            matrix.entry((0, 0, 6))
+        assert matrix.indices == monomial_indices(3, 5)
+        assert len(matrix.entries) == len(matrix.indices)
+        for alpha, entry in zip(matrix.indices, matrix.entries):
+            multinomial = math.factorial(sum(alpha)) // math.prod(map(math.factorial, alpha))
+            assert entry == generalized_binomial(Fraction(5, 2), sum(alpha)) * multinomial
 
     def test_matrix_reproduces_power_expansion(self):
         # Sum of entries at |alpha| = k must be the coefficient of s^k in

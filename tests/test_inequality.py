@@ -15,13 +15,11 @@ from calabi_bell.cli import main
 from calabi_bell.inequality import (
     alternating_bell_sum,
     min_negative_r,
-    normalized_sequence,
     normalized_term,
-    q_decomposition,
     scan_grid,
 )
 from calabi_bell.potential import CalabiParams, h_values
-from calabi_bell.rationals import binomial, factorial, parse_rational
+from calabi_bell.rationals import factorial, parse_rational
 
 
 def spy_on_bell_rows(monkeypatch):
@@ -46,7 +44,7 @@ def fraction_rows(n, q, r_max):
     s = [Fraction(1)]
     for k in range(1, r_max + 1):
         zs.append((q if k % 2 else -q) * normalized_term(n, k))
-        s.append(sum(binomial(k - 1, i - 1) * zs[i - 1] * s[k - i] for i in range(1, k + 1)))
+        s.append(sum(math.comb(k - 1, i - 1) * zs[i - 1] * s[k - i] for i in range(1, k + 1)))
     return s[1:]
 
 
@@ -56,14 +54,14 @@ class TestNormalizedSequence:
             assert normalized_term(n, 1) == 1
 
     def test_frozen_n2(self):
-        assert normalized_sequence(2, 4) == (1, Fraction(1, 2), 1, Fraction(15, 4))
+        assert [normalized_term(2, l) for l in range(1, 5)] == [1, Fraction(1, 2), 1, Fraction(15, 4)]
 
     def test_frozen_n3(self):
-        assert normalized_sequence(3, 3) == (1, 1, Fraction(10, 3))
+        assert [normalized_term(3, l) for l in range(1, 4)] == [1, 1, Fraction(10, 3)]
 
     def test_all_terms_positive(self):
         for n in (2, 3, 5, 8):
-            assert all(x > 0 for x in normalized_sequence(n, 30))
+            assert all(normalized_term(n, l) > 0 for l in range(1, 31))
 
     def test_recovers_coefficients_up_to_scale(self):
         # a_l = (-1/k0) (-c k0)^l x_l ties the normalized sequence to the
@@ -72,17 +70,14 @@ class TestNormalizedSequence:
 
         p = CalabiParams(3, Fraction(5, 2), Fraction(2, 3))
         seq = u_coeffs_closed(p, 10)
-        xs = normalized_sequence(p.n, 10)
         for l in range(1, 11):
-            assert seq.a(l) == Fraction(-1) / p.k0 * (-p.c * p.k0) ** l * xs[l - 1]
+            assert seq.a(l) == Fraction(-1) / p.k0 * (-p.c * p.k0) ** l * normalized_term(p.n, l)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             normalized_term(1, 1)
         with pytest.raises(ValueError):
             normalized_term(2, 0)
-        with pytest.raises(ValueError):
-            normalized_sequence(2, 0)
 
 
 class TestAlternatingSum:
@@ -338,37 +333,3 @@ class TestScan:
             scan_grid(1, [])
         with pytest.raises(ValueError, match="r_max must be"):
             scan_grid(2, [], 0)
-
-
-class TestQDecomposition:
-    @pytest.mark.parametrize(
-        "q,expected",
-        [
-            (Fraction(1, 2), (1, 2)),
-            (Fraction(3, 4), (3, 4)),
-            (Fraction(2, 3), (4, 6)),
-            (Fraction(1), (2, 2)),
-            (Fraction(3), (6, 2)),
-            (Fraction(5, 6), (5, 6)),
-        ],
-    )
-    def test_examples(self, q, expected):
-        assert q_decomposition(q) == expected
-
-    def test_properties_hold_and_minimal(self):
-        rng = random.Random(33)
-        for _ in range(200):
-            q = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-            m, k0 = q_decomposition(q)
-            assert m >= 1 and k0 >= 2
-            assert k0 % 2 == 0
-            assert Fraction(m, k0) == q
-            # minimality: no smaller even k0 gives an integer m
-            for smaller in range(2, k0, 2):
-                assert (q * smaller).denominator != 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            q_decomposition(Fraction(0))
-        with pytest.raises(TypeError):
-            q_decomposition(0.5)
