@@ -12,6 +12,11 @@ strings the CSV rows and the table lines reuse. One writer, ``_emit``,
 prints whichever of the three ``--format`` asks for. Exact quantities are
 printed as ``p/q``.
 
+A process builds one parser, on its first ``main`` call (never at
+import), and every later call reuses it; ``main`` finds the handler
+``_cmd_<subcommand>`` by name when it is called, not when the parser is
+built.
+
 The handlers check only the CLI's own rules, the work ceiling
 ``RMAX_CEILING`` and "``--order`` unless ``--eval``". Every rule on a
 value (n >= 2, q > 0, 1 <= j <= r, a finite ``--eval`` point >= 0, ...)
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -232,7 +238,10 @@ def _cmd_blocks(args) -> int:
 # -- wiring --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built on the first call and shared by every
+    later one in the process; callers must not modify it."""
     parser = _Parser(
         prog="calabi-bell",
         description="Exact Bell-polynomial machinery for Ricci-flat metrics of Calabi type.",
@@ -245,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument(
         "--x", type=_rational_list_arg, required=True, help="comma-separated rationals x_1,x_2,..."
     )
-    p_bell.set_defaults(handler=_cmd_bell)
 
     p_useries = subparsers.add_parser(
         "useries", help="potential derivatives at 0, or a numeric point evaluation"
@@ -270,13 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="evaluate u and the defining condition at this x >= 0 instead",
     )
-    p_useries.set_defaults(handler=_cmd_useries)
 
     p_hr.add_argument("--m", type=_rational_arg, required=True, help="twist multiple, p/q > 0")
     which = p_hr.add_mutually_exclusive_group(required=True)
     which.add_argument("--r", type=int, help="a single r")
     which.add_argument("--rmax", type=int, help="all of r = 1..rmax")
-    p_hr.set_defaults(handler=_cmd_hr)
 
     p_scan = subparsers.add_parser("scan", help="first negative alternating Bell sum")
     p_scan.add_argument("--n", type=int, required=True, help="base dimension, >= 2")
@@ -286,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", type=_rational_list_arg, help="comma-separated q values, scanned in turn"
     )
     p_scan.add_argument("--rmax", type=int, default=200, help="scan cap (default 200)")
-    p_scan.set_defaults(handler=_cmd_scan)
 
     p_blocks = subparsers.add_parser(
         "blocks", help="diastasis block scan over a projective-space base"
@@ -300,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_blocks.add_argument(
         "--cutoff", type=int, default=6, help="monomial degree cutoff (default 6)"
     )
-    p_blocks.set_defaults(handler=_cmd_blocks)
 
     for p in subparsers.choices.values():
         p.add_argument("--format", choices=FORMATS, default="table", help="output format")
@@ -309,13 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -286,6 +286,12 @@ def _double(value: Fraction, what: str) -> float:
     return result
 
 
+# Work ceiling of ``ClosedFormEvaluator``, the largest n it accepts: it
+# builds n - 1 roots of unity and every value loops over them, so its
+# time and memory grow with the value of n.
+EVAL_N_CEILING = 100_000
+
+
 class ClosedFormEvaluator:
     """Double-precision evaluation of u, u', u'' from the closed form.
 
@@ -300,13 +306,18 @@ class ClosedFormEvaluator:
     imaginary parts cancel in conjugate pairs. The leftover imaginary
     residue is checked against ``imag_tol`` on every call; exceeding it
     means a branch was crossed and raises ``BranchResidueError`` instead
-    of returning a silently wrong value. Parameters k0, c or n k0 c that
-    overflow or underflow a double raise ``InputError`` on construction,
-    as does, on a call, an x that is not a finite number >= 0 or whose
-    radicand or value of u, u' or u'' does not fit in a double.
+    of returning a silently wrong value. An n above ``EVAL_N_CEILING``,
+    and parameters k0, c or n k0 c that overflow or underflow a double,
+    raise ``InputError`` on construction, as does, on a call, an x that
+    is not a finite number >= 0 or whose radicand or value of u, u' or
+    u'' does not fit in a double.
     """
 
     def __init__(self, params: CalabiParams, imag_tol: float = 1e-10):
+        if params.n > EVAL_N_CEILING:
+            raise InputError(
+                f"n {params.n} is above the work ceiling EVAL_N_CEILING = {EVAL_N_CEILING}"
+            )
         self.params = params
         self.imag_tol = float(imag_tol)
         self._n = params.n

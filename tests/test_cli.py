@@ -15,9 +15,9 @@ import pytest
 import calabi_bell.cli as cli_mod
 import calabi_bell.inequality as inequality_mod
 import calabi_bell.potential as potential_mod
-from calabi_bell.cli import RMAX_CEILING, main
+from calabi_bell.cli import RMAX_CEILING, build_parser, main
 from calabi_bell.inequality import min_negative_r
-from calabi_bell.potential import CoefficientSequence
+from calabi_bell.potential import EVAL_N_CEILING, CoefficientSequence
 
 
 def run_cli(capsys, *argv):
@@ -484,6 +484,7 @@ class TestWorkCeilings:
             raise AssertionError("work started above a ceiling")
 
         monkeypatch.setattr(inequality_mod, "_s_rows", refuse)
+        monkeypatch.setattr(potential_mod.cmath, "exp", refuse)  # the evaluator's roots
         for name in ("min_negative_r", "scan_grid", "h_values", "FubiniStudyBase", "eh_block_scan"):
             monkeypatch.setattr(cli_mod, name, refuse)
 
@@ -509,30 +510,52 @@ class TestWorkCeilings:
         with pytest.raises(AssertionError, match="work started"):
             main(["scan", "--n", "2", "--q", "3", "--rmax", str(RMAX_CEILING)])
 
+    def test_eval_n_above_ceiling(self, capsys):
+        argv = ["useries", "--n", str(EVAL_N_CEILING + 1), "--k0", "1", "--c", "1", "--eval", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: n {EVAL_N_CEILING + 1} is above the work ceiling"
+            f" EVAL_N_CEILING = {EVAL_N_CEILING}\n"
+        )
+        argv[2] = str(EVAL_N_CEILING)
+        with pytest.raises(AssertionError, match="work started"):
+            main(argv)
+
+
+# One small successful call per subcommand.
+EACH_SUBCOMMAND = [
+    ("bell", "--r", "1", "--x", "1"),
+    ("useries", "--n", "2", "--k0", "2", "--c", "1", "--order", "1"),
+    ("hr", "--n", "2", "--k0", "2", "--c", "1", "--m", "1", "--r", "1"),
+    ("scan", "--n", "2", "--q", "1"),
+    ("blocks", "--d", "1", "--lambda", "2", "--c", "1"),
+]
+
+
+def _fault(args):
+    raise ValueError("an internal fault")
+
 
 class TestErrorBoundary:
     """``main`` turns a library ``InputError``, and only that, into exit 1."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("bell", "--r", "1", "--x", "1"),
-            ("useries", "--n", "2", "--k0", "2", "--c", "1", "--order", "1"),
-            ("hr", "--n", "2", "--k0", "2", "--c", "1", "--m", "1", "--r", "1"),
-            ("scan", "--n", "2", "--q", "1"),
-            ("blocks", "--d", "1", "--lambda", "2", "--c", "1"),
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", EACH_SUBCOMMAND, ids=lambda argv: argv[0])
     def test_plain_value_error_propagates(self, capsys, monkeypatch, argv):
-        def fault(args):
-            raise ValueError("an internal fault")
-
-        monkeypatch.setattr(cli_mod, f"_cmd_{argv[0]}", fault)
+        monkeypatch.setattr(cli_mod, f"_cmd_{argv[0]}", _fault)
         with pytest.raises(ValueError, match="an internal fault") as caught:
             main(list(argv))
         assert type(caught.value) is ValueError
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", EACH_SUBCOMMAND, ids=lambda argv: argv[0])
+    def test_handler_is_found_at_call_time(self, capsys, monkeypatch, argv):
+        # The shared parser exists before the patch, so only a handler
+        # looked up when main is called can see it.
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli_mod, f"_cmd_{argv[0]}", _fault)
+        with pytest.raises(ValueError, match="an internal fault"):
+            main(list(argv))
 
     def test_refusal_in_a_fresh_process(self):
         argv = [sys.executable, "-m", "calabi_bell", "scan", "--n", "1", "--q", "1"]
@@ -550,6 +573,43 @@ def test_golden_output(capsys, case):
     consolidated; the fixture is never regenerated."""
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
+
+
+class TestSharedParser:
+    """One parser serves every ``main`` call in a process, and no call
+    leaves state in it that changes a later one."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_golden_replay_forward_then_reversed(self, capsys):
+        ok = [case for case in GOLDEN if case["code"] == 0]
+        usage = [case for case in GOLDEN if case["code"] != 0]
+        # Every usage error sits between two successes.
+        forward = [case for pair in zip(ok, usage) for case in pair] + ok[len(usage):]
+        stderr = {}
+        for case in [*forward, *reversed(forward)]:
+            code, out, err = run_cli(capsys, *case["argv"])
+            assert (code, out) == (case["code"], case["stdout"]), case["argv"]
+            assert stderr.setdefault(tuple(case["argv"]), err) == err, case["argv"]
+
+    def test_usage_error_repeats_exactly(self, capsys):
+        build_parser.cache_clear()
+        first = run_cli(capsys, "scan", "--n", "2", "--q", "1", "--format", "xml")
+        assert first[:2] == (1, "")
+        assert "invalid choice: 'xml'" in first[2]
+        assert run_cli(capsys, "scan", "--n", "2", "--q", "1", "--format", "xml") == first
+
+    def test_one_call_in_a_fresh_process(self):
+        argv = ["scan", "--n", "2", "--q", "1/2", "--rmax", "10", "--format", "table"]
+        (case,) = [case for case in GOLDEN if case["argv"] == argv]
+        done = subprocess.run(
+            [sys.executable, "-m", "calabi_bell", *argv[:-2]],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, case["stdout"], "")
 
 
 def _readme_examples() -> list[tuple[str, list[str]]]:

@@ -347,6 +347,9 @@ BAD_VALUES = {
     "ClosedFormEvaluator k0 overflow": lambda: potential.ClosedFormEvaluator(
         CalabiParams(2, 10**400, 1)
     ),
+    "ClosedFormEvaluator n above ceiling": lambda: potential.ClosedFormEvaluator(
+        CalabiParams(potential.EVAL_N_CEILING + 1, 2, 1)
+    ),
     "normalized_term l=0": lambda: inequality.normalized_term(2, 0),
     "alternating_bell_sum n=1": lambda: alternating_bell_sum(1, 1, 2),
     "min_negative_r q<0": lambda: min_negative_r(2, "-1/2", 5),
