@@ -12,10 +12,8 @@ strings the CSV rows and the table lines reuse. One writer, ``_emit``,
 prints whichever of the three ``--format`` asks for. Exact quantities are
 printed as ``p/q``.
 
-A process builds one parser, on its first ``main`` call (never at
-import), and every later call reuses it; ``main`` finds the handler
-``_cmd_<subcommand>`` by name when it is called, not when the parser is
-built.
+One parser serves a process: built on the first ``main`` call, never at
+import. ``main`` finds ``_cmd_<subcommand>`` by name on each call.
 
 The handlers check only the CLI's own rules, the work ceiling
 ``RMAX_CEILING`` and "``--order`` unless ``--eval``". Every rule on a
@@ -240,8 +238,7 @@ def _cmd_blocks(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's one parser, built on the first call and shared by every
-    later one in the process; callers must not modify it."""
+    """The process's one parser, built on the first call; do not modify it."""
     parser = _Parser(
         prog="calabi-bell",
         description="Exact Bell-polynomial machinery for Ricci-flat metrics of Calabi type.",
