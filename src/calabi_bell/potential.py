@@ -16,9 +16,10 @@ closed form numerically:
 * ``u_coeffs_ode``: forward substitution on the defining condition,
   no knowledge of the product formula. With y = k0 c x and
   u'(x) = c f(y) the condition becomes (1 + y f)^{n-1} (f + y f') = 1,
-  i.e. (1 + W)^{n-1} W' = 1 for W = y f, W(0) = 0; differentiated once,
-  W'' (1 + W) = -(n-1) W'^2. The derivatives d_r = W^(r+1)(0) obey an
-  all-integer recurrence (below), and a_j = c^j k0^{j-1} d_{j-1} / j;
+  i.e. V^{n-1} V' = 1 for V = 1 + y f, V(0) = 1; differentiated once,
+  (V^2)'' = -2(n-2) V'^2. The scaled coefficients N_s = n^s [y^s] V
+  obey an all-integer recurrence with an exact division, guarded
+  (below), and a_j = c^j k0^{j-1} (j-1)! N_j / n^j;
 * ``u_coeffs``: both, with exact agreement enforced;
 * ``ClosedFormEvaluator``: double-precision values of u, u', u'' away
   from 0, via the n-th root t(x) = (1 + n k0 c x)^{1/n} and
@@ -35,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import mul
 
 from .inequality import _recheck, _s_rows
 from .rationals import InputError, Rational, _at_least, _exact, _positive, _Record, factorial
@@ -58,7 +60,8 @@ __all__ = [
 
 
 class CoefficientMethodMismatch(ArithmeticError):
-    """The closed-form and forward-substitution coefficient routes disagreed."""
+    """The closed-form and forward-substitution coefficient routes disagreed,
+    or the forward substitution met a division that was not exact."""
 
 
 class BranchResidueError(ArithmeticError):
@@ -138,46 +141,43 @@ def u_coeffs_ode(params: CalabiParams, order: int) -> CoefficientSequence:
     """Derivatives at 0 by forward substitution on the defining condition.
 
     Substituting y = k0 c x and u'(x) = c f(y) turns the condition into
-    (1 + y f)^{n-1} (f + y f') = 1. With W = y f this reads
-    (1 + W)^{n-1} W' = 1, W(0) = 0, so W'(0) = 1; differentiated once,
+    (1 + y f)^{n-1} (f + y f') = 1. With V = 1 + y f this reads
+    V^{n-1} V' = 1, V(0) = 1, so V'(0) = 1; differentiated once,
+    V V'' + (n-1) V'^2 = 0, i.e. (V^2)'' = -2(n-2) V'^2.
 
-        W'' (1 + W) = -(n-1) W'^2.
+    In the scaled ordinary coefficients N_s = n^s [y^s] V (N_0 = 1,
+    N_1 = n), comparing [y^{s-2}] on both sides gives, for s >= 2,
 
-    Leibniz's rule on both sides, in the exponential coefficients
-    d_r = W^(r+1)(0), d_0 = 1, gives
+        2 s (s-1) N_s = -sum_{a=1}^{s-1} (s(s-1) + 2(n-2) a(s-a)) N_a N_{s-a}.
 
-        d_{r+1} = -(n-1) sum_{i=0}^{r} C(r,i) d_i d_{r-i}
-                  - sum_{i=0}^{r-1} C(r,i) d_{i+1} d_{r-1-i}.
-
-    Both sums run over the products d_k d_{r-k}: with g_k =
-    (n-1) C(r,k) + C(r,k-1), d_{r+1} = -sum_{k=0}^{r} g_k d_k d_{r-k},
-    and folding k with r - k halves the big-integer products. Every term
-    is an int; the binomial row is updated by Pascal's rule. Undoing the
-    substitution, a_j = c^j k0^{j-1} d_{j-1} / j: one exact division
-    per coefficient.
+    The weight is symmetric in a <-> s - a, so each pair is folded into
+    one product. The division is exact: N_s = n^{2s} C(1/n, s) is an
+    integer (a p-adic integer for p not dividing n, and divisible by p
+    when p divides n), so a remainder means the recurrence went wrong and
+    raises ``CoefficientMethodMismatch`` instead of being floored away.
+    Undoing the substitution, a_j = c^j k0^{j-1} (j-1)! N_j / n^j: one
+    exact division per coefficient.
     """
     _at_least(order, 1, "order")
-    alpha = params.n - 1
-    d = [1]
-    row = [1]  # C(r, 0..r)
-    for r in range(order - 1):
-        total = 0
-        for k in range(r // 2 + 1):
-            below = row[k - 1] if k else 0
-            if 2 * k < r:  # g_k + g_{r-k}
-                weight = 2 * alpha * row[k] + below + row[k + 1]
-            else:  # the middle term k = r/2 has no partner
-                weight = alpha * row[k] + below
-            total += weight * d[k] * d[r - k]
-        d.append(-total)
-        row = [1] + [row[i - 1] + row[i] for i in range(1, r + 1)] + [1]
+    n = params.n
+    big, tie = [1, n], 4 * (n - 2)  # N_0, N_1
+    for s in range(2, order + 1):
+        h, base = s // 2, 2 * s * (s - 1)  # a = 1..h, each paired with s - a
+        weights = [base + tie * a * (s - a) for a in range(1, h + 1)]
+        if s % 2 == 0:
+            weights[-1] //= 2  # the middle term a = s/2 has no partner
+        products = map(mul, big[1 : h + 1], big[s - 1 : s - 1 - h : -1])
+        quotient, remainder = divmod(-sum(map(mul, weights, products)), base)
+        if remainder:
+            raise CoefficientMethodMismatch(f"2s(s-1) does not divide the row sum at s={s}, n={n}")
+        big.append(quotient)
     step = params.k0 * params.c
-    num, den = params.c.numerator, params.c.denominator  # c (k0 c)^{j-1}
+    num, den = params.c.numerator, params.c.denominator * n  # c (k0 c)^{j-1} (j-1)! / n^j
     values = []
-    for j, d_j in enumerate(d, start=1):
-        values.append(Fraction(num * d_j, den * j))
-        num *= step.numerator
-        den *= step.denominator
+    for j in range(1, order + 1):
+        values.append(Fraction(num * big[j], den))
+        num *= step.numerator * j
+        den *= step.denominator * n
     return CoefficientSequence(params, tuple(values), "ode")
 
 

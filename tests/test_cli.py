@@ -456,14 +456,16 @@ class TestBlocks:
 
 
 class TestTimeBudget:
-    """Corner requests at the rmax ceiling finish in seconds: the S and
-    h_r rows come from the O(n r) kernel."""
+    """Corner requests finish in seconds: at the rmax ceiling the S and
+    h_r rows come from the O(n r) kernel, and useries at order 1000 runs
+    the ode route on integers N_j of about n^(2j)."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("scan", "--n", "2", "--q", "1000", "--rmax", str(RMAX_CEILING)),
             ("hr", "--n", "6", "--k0", "97/3", "--c", "89/7", "--m", "1", "--r", "600"),
+            ("useries", "--n", "2", "--k0", "2", "--c", "1", "--order", "1000", "--method", "both"),
         ],
     )
     def test_finishes_within_five_seconds(self, capsys, argv):

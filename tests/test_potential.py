@@ -22,7 +22,7 @@ from calabi_bell.potential import (
     u_coeffs_closed,
     u_coeffs_ode,
 )
-from calabi_bell.rationals import InputError
+from calabi_bell.rationals import InputError, generalized_binomial
 
 GRID = [
     CalabiParams(n, Fraction(k0), Fraction(c))
@@ -70,6 +70,29 @@ def _fraction_forward_substitution(p, order):
         power[r] = sum(((p.n - 1) * i - (r - i)) * w[i] * power[r - i] for i in range(1, r + 1)) / r
         v[r] = -sum(power[s] * (r - s + 1) * v[r - s] for s in range(1, r + 1)) / (r + 1)
     return tuple(math.factorial(j) * v[j] for j in range(order))
+
+
+def _exponential_recurrence(p, order):
+    """Reference: the all-integer recurrence in the exponential
+    coefficients d_r = W^(r+1)(0) of W = V - 1, from W'' (1 + W) =
+    -(n-1) W'^2 by Leibniz's rule (d_0 = 1):
+
+        d_{r+1} = -sum_{k=0}^{r} ((n-1) C(r,k) + C(r,k-1)) d_k d_{r-k},
+
+    folded over k <-> r - k, with a_j = c^j k0^{j-1} d_{j-1} / j."""
+    d, row = [1], [1]  # C(r, 0..r)
+    for r in range(order - 1):
+        total = 0
+        for k in range(r // 2 + 1):
+            below = row[k - 1] if k else 0
+            if 2 * k < r:  # g_k + g_{r-k}
+                weight = 2 * (p.n - 1) * row[k] + below + row[k + 1]
+            else:  # the middle term k = r/2 has no partner
+                weight = (p.n - 1) * row[k] + below
+            total += weight * d[k] * d[r - k]
+        d.append(-total)
+        row = [1] + [row[i - 1] + row[i] for i in range(1, r + 1)] + [1]
+    return tuple(p.c**j * p.k0 ** (j - 1) * Fraction(d[j - 1], j) for j in range(1, order + 1))
 
 
 class TestCoefficients:
@@ -150,6 +173,30 @@ class TestCoefficients:
             reference = _fraction_forward_substitution(p, 40)  # prefix-stable
             for order in range(1, 41):
                 assert u_coeffs_ode(p, order).values == reference[:order], (p, order)
+
+    @pytest.mark.parametrize("n, order", [(2, 200), (3, 200), (7, 200), (97, 200), (10**6, 40)])
+    def test_ode_matches_exponential_recurrence(self, n, order):
+        # A second integer route on W = V - 1; at n = 2 the (n-2) term of
+        # the ordinary recurrence vanishes and V^2 = 1 + 2y.
+        p = CalabiParams(n, Fraction(7, 3), Fraction(5, 2))
+        assert u_coeffs_ode(p, order).values == _exponential_recurrence(p, order)
+
+    def test_scaled_coefficients_are_integers(self):
+        # The claim behind the exact-division guard: at k0 = c = 1,
+        # N_j = n^j a_j / (j-1)! equals n^{2j} C(1/n, j), an integer.
+        for n in range(2, 13):
+            values = u_coeffs_ode(CalabiParams(n, 1, 1), 60).values
+            for j, a_j in enumerate(values, start=1):
+                scaled = a_j * n**j / math.factorial(j - 1)
+                assert scaled == n ** (2 * j) * generalized_binomial(Fraction(1, n), j), (n, j)
+                assert scaled.denominator == 1, (n, j)
+
+    def test_inexact_division_is_a_hard_error(self, monkeypatch):
+        # A corrupted product leaves an odd row sum at s = 2, which
+        # 2 s (s-1) = 4 cannot divide; the route must not floor it.
+        monkeypatch.setattr(potential_mod, "mul", lambda x, y: x * y + 1)
+        with pytest.raises(CoefficientMethodMismatch, match="s=2"):
+            u_coeffs_ode(CalabiParams(3, 2, 1), 5)
 
     def test_mismatch_is_a_hard_error(self, monkeypatch):
         p = CalabiParams(2, 2, 1)
