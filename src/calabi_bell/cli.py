@@ -134,12 +134,8 @@ def _cmd_useries(args) -> int:
         return _useries_eval(params, args)
     if args.order is None:
         raise InputError("--order is required unless --eval is given")
-    if args.method == "closed":
-        seq = u_coeffs_closed(params, args.order)
-    elif args.method == "ode":
-        seq = u_coeffs_ode(params, args.order)
-    else:
-        seq = u_coeffs(params, args.order)
+    route = {"closed": u_coeffs_closed, "ode": u_coeffs_ode, "both": u_coeffs}[args.method]
+    seq = route(params, args.order)
     rendered = [format_rational(v) for v in seq.values]
     payload = {**_params_payload(params), "order": args.order, "method": args.method}
     payload["values"] = rendered

@@ -190,13 +190,12 @@ def u_coeffs(params: CalabiParams, order: int) -> CoefficientSequence:
     closed = u_coeffs_closed(params, order)
     ode = u_coeffs_ode(params, order)
     if closed.values != ode.values:
-        for j in range(1, order + 1):
-            if closed.a(j) != ode.a(j):
-                raise CoefficientMethodMismatch(
-                    f"coefficient routes disagree at j={j} for n={params.n}, "
-                    f"k0={params.k0}, c={params.c}: "
-                    f"closed-form {closed.a(j)} vs forward substitution {ode.a(j)}"
-                )
+        j = next(j for j in range(1, order + 1) if closed.a(j) != ode.a(j))
+        raise CoefficientMethodMismatch(
+            f"coefficient routes disagree at j={j} for n={params.n}, "
+            f"k0={params.k0}, c={params.c}: "
+            f"closed-form {closed.a(j)} vs forward substitution {ode.a(j)}"
+        )
     return CoefficientSequence(params, ode.values, "cross-checked")
 
 
@@ -324,9 +323,7 @@ class ClosedFormEvaluator:
         self._k0 = _double(params.k0, "k0")
         self._c = _double(params.c, "c")
         self._slope = _double(params.radicand_slope, "n k0 c")
-        self._roots = tuple(
-            cmath.exp(2j * cmath.pi * j / params.n) for j in range(1, params.n)
-        )
+        self._roots = tuple(cmath.exp(2j * cmath.pi * j / params.n) for j in range(1, params.n))
         self._weights = tuple((1 - root) / self._k0 for root in self._roots)
 
     def _t(self, x: float) -> float:

@@ -25,7 +25,8 @@ What this module adds is the thin contract layer the rest of the package
   ``math.comb``), and generalized binomial coefficients with rational
   upper argument, which the diastasis code needs for non-integer
   exponents,
-* ``_dot``, the one exact sum of products (series, Bell recurrences),
+* ``_dot``, the exact sum of products of the two Bell recurrences (the
+  series layer keeps its operands as ints over a common denominator),
 * ``_Record``, the base of the package's immutable value classes.
 """
 

@@ -4,15 +4,19 @@ A series carries its coefficients c_0..c_order as an immutable tuple.
 Arithmetic truncates at the smaller order of the two operands (the honest
 order: higher coefficients of the product are not fully determined), and
 scalar operations keep the order unchanged. Everything is exact; there is
-no floating-point coefficient mode. Each product or ``exp_of`` coefficient
-is one ``rationals._dot``, so it is normalized once.
+no floating-point coefficient mode. Products and ``exp_of`` hold each
+operand as Python ints over one running common denominator (``_common``),
+so each output coefficient is one integer sum of products, normalized once.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from operator import mul
 
-from .rationals import InputError, Rational, _at_least, _dot, _exact, _Record
+from .rationals import InputError, Rational, _at_least, _exact, _Record
 
 __all__ = ["TruncatedSeries", "exp_of"]
 
@@ -79,9 +83,9 @@ class TruncatedSeries(_Record):
 
     def __mul__(self, other: "TruncatedSeries | Rational | int") -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
-            a, b = self.coeffs, other.coeffs
-            order = min(self.order, other.order)
-            return TruncatedSeries(tuple(_dot(a[: k + 1], b[k::-1]) for k in range(order + 1)))
+            pairs = zip(_common(self.coeffs), _common(other.coeffs))
+            sums = (Fraction(sum(map(mul, x, reversed(y))), dx * dy) for (x, dx), (y, dy) in pairs)
+            return TruncatedSeries(tuple(sums))
         value = _exact(other)
         return TruncatedSeries(tuple(value * c for c in self.coeffs))
 
@@ -114,22 +118,33 @@ class TruncatedSeries(_Record):
             acc = acc * point + c
         return acc
 
-    def __str__(self) -> str:
-        return f"series[{', '.join(str(c) for c in self.coeffs)}]"
-
 
 def exp_of(series: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term, same order, exact.
 
     Uses the derivative recurrence b' = a' b, i.e.
     k b_k = sum_{i=1}^{k} i a_i b_{k-i}, which keeps every coefficient
-    rational; the i a_i are formed once. A nonzero constant term would
-    drag in e^{c_0} and is rejected.
+    rational. The i a_i and the b_j so far are ints over running common
+    denominators, and each new b_k joins the b ints the next row reads. A
+    nonzero constant term would drag in e^{c_0} and is rejected.
     """
     if series.coeffs[0] != 0:
         raise InputError("exp_of requires a zero constant term")
-    weighted = [i * a for i, a in enumerate(series.coeffs)]
     b = [Fraction(1)]
-    for k in range(1, series.order + 1):
-        b.append(_dot(weighted[1 : k + 1], b[::-1]) / k)
+    weighted = _common(i * a for i, a in enumerate(series.coeffs[1:], 1))
+    for k, ((w, dw), (y, dy)) in enumerate(zip(weighted, _common(b)), 1):
+        b.append(Fraction(sum(map(mul, w, reversed(y))), dw * dy * k))
     return TruncatedSeries(tuple(b))
+
+
+def _common(values: Iterable[Fraction]) -> Iterator[tuple[list[int], int]]:
+    """Yield (nums, den) after each value: the values so far as ints over
+    den, the lcm of their denominators, which grows as they arrive."""
+    nums, den = [], 1
+    for value in values:
+        grow = value.denominator // math.gcd(den, value.denominator)
+        if grow != 1:
+            nums = [x * grow for x in nums]
+            den *= grow
+        nums.append(value.numerator * (den // value.denominator))
+        yield nums, den
