@@ -148,7 +148,9 @@ def _dense_is_psd(rows: list[list[Fraction]]) -> bool:
         if pivot < 0:
             return False
         if pivot == 0:
-            return all(a[i][j] == 0 for i in range(k, size) for j in range(k, size))
+            return all(
+                a[i][j] == 0 for i in range(k, size) for j in range(k, size)
+            )
         if p != k:
             a[k], a[p] = a[p], a[k]
             for row in a:

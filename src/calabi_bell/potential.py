@@ -323,7 +323,9 @@ class ClosedFormEvaluator:
         self._k0 = _double(params.k0, "k0")
         self._c = _double(params.c, "c")
         self._slope = _double(params.radicand_slope, "n k0 c")
-        self._roots = tuple(cmath.exp(2j * cmath.pi * j / params.n) for j in range(1, params.n))
+        self._roots = tuple(
+            cmath.exp(2j * cmath.pi * j / params.n) for j in range(1, params.n)
+        )
         self._weights = tuple((1 - root) / self._k0 for root in self._roots)
 
     def _t(self, x: float) -> float:
@@ -358,8 +360,7 @@ class ClosedFormEvaluator:
 
     def derivatives(self, x: float) -> tuple[float, float, float]:
         """(u(x), u'(x), u''(x)) by termwise differentiation, same guard."""
-        u_val, u1_val, u2_val, _ = self._parts(x)
-        return u_val, u1_val, u2_val
+        return self._parts(x)[:3]
 
     def _parts(self, x: float) -> tuple[float, float, float, float]:
         t = self._t(x)

@@ -21,8 +21,8 @@ What this module adds is the thin contract layer the rest of the package
 * strict ``"p/q"`` parsing and rendering (the textual form used in JSON
   and CSV output; decimal strings are rejected so nothing silently goes
   through floating point),
-* factorials (stdlib ``math``; the Bell loops take their binomials from
-  ``math.comb``), and generalized binomial coefficients with rational
+* ``factorial`` (``math.factorial`` itself; the Bell loops take their
+  binomials from ``math.comb``), and generalized binomial coefficients with rational
   upper argument, which the diastasis code needs for non-integer
   exponents,
 * ``_dot``, the exact sum of products of the two Bell recurrences (the
@@ -36,6 +36,7 @@ import math
 import re
 from collections.abc import Sequence
 from fractions import Fraction
+from math import factorial
 
 __all__ = [
     "InputError",
@@ -111,10 +112,6 @@ def format_rational(value: Rational | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def factorial(n: int) -> int:
-    return math.factorial(n)
-
-
 def generalized_binomial(a: Rational | int, k: int) -> Rational:
     """Binomial coefficient C(a, k) = a(a-1)...(a-k+1)/k! for rational a.
 
@@ -126,7 +123,7 @@ def generalized_binomial(a: Rational | int, k: int) -> Rational:
     numerator = Fraction(1)
     for i in range(k):
         numerator *= a - i
-    return numerator / math.factorial(k)
+    return numerator / factorial(k)
 
 
 def _dot(xs: Sequence[Rational | int], ys: Sequence[Rational | int]) -> Fraction:

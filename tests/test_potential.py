@@ -162,8 +162,9 @@ class TestCoefficients:
                 assert u_coeffs_ode(p, 300).values == u_coeffs_closed(p, 300).values, p
 
     def test_ode_matches_fraction_forward_substitution(self):
-        # The integer recurrence on W must give exactly what forward
-        # substitution on the untransformed condition gives, order by order.
+        # The integer recurrence on the ordinary coefficients of V = 1 + W
+        # must give exactly what forward substitution on the untransformed
+        # condition gives, order by order.
         rng = random.Random(24)
         for _ in range(6):
             n = rng.randint(2, 6)

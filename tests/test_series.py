@@ -9,8 +9,11 @@ from fractions import Fraction
 import pytest
 
 from calabi_bell.bell import complete_bell
+from calabi_bell.potential import CalabiParams, h_values, taylor_series, u_coeffs_closed
 from calabi_bell.rationals import factorial, generalized_binomial
 from calabi_bell.series import TruncatedSeries, exp_of
+
+PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
 
 def random_series(rng, order, span=9):
@@ -27,6 +30,12 @@ def mixed_series(rng, order):
         lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
     )
     return TruncatedSeries(tuple(rng.choice(choices)() for _ in range(order + 1)))
+
+
+def prime_series(rng, primes):
+    """a_i = +-1/p_i over distinct primes, so every coefficient brings a new
+    factor into the common denominator."""
+    return TruncatedSeries(tuple(Fraction(rng.choice((-1, 1)), p) for p in primes))
 
 
 def schoolbook_product(a, b):
@@ -221,3 +230,64 @@ class TestAgainstSchoolbook:
         assert time.perf_counter() - start < 5
         assert power.coefficient(1) == 10**6
         assert power.coefficient(2) == Fraction(10**12, 2)
+
+
+class TestCommonDenominator:
+    """Operands whose common denominator grows mid-series, so products and
+    exp_of rescale the integers they have kept so far."""
+
+    def test_distinct_prime_denominators(self):
+        rng = random.Random(41)
+        a, b = prime_series(rng, PRIMES[:61]), prime_series(rng, PRIMES[61:122])
+        assert (a * b).coeffs == schoolbook_product(a.coeffs, b.coeffs)
+        assert (b * a).coeffs == schoolbook_product(a.coeffs, b.coeffs)
+        square = schoolbook_product(a.coeffs, a.coeffs)
+        assert a.pow_int(3).coeffs == schoolbook_product(square, a.coeffs)
+        a0 = TruncatedSeries((0,) + a.coeffs[1:])
+        assert exp_of(a0).coeffs == schoolbook_exp(a0.coeffs)
+
+    def test_denominators_grow_then_fall_back(self):
+        rise_fall = TruncatedSeries(tuple(map(Fraction, ("1/6", "1/2", "1/3", "1", "5/4"))))
+        other = TruncatedSeries(tuple(reversed(rise_fall.coeffs)))
+        integers = TruncatedSeries((3, -1, 0, 2, 7))
+        for x in (rise_fall, other, integers):
+            for y in (rise_fall, other, integers):
+                assert (x * y).coeffs == schoolbook_product(x.coeffs, y.coeffs)
+        tail = TruncatedSeries((0,) + rise_fall.coeffs + (Fraction(7, 12), Fraction(1, 35)))
+        assert exp_of(tail).coeffs == schoolbook_exp(tail.coeffs)
+        assert exp_of(-tail).coeffs == schoolbook_exp((-tail).coeffs)
+
+    def test_mostly_zero_operand(self):
+        rng = random.Random(42)
+        a = prime_series(rng, PRIMES[:31])
+        x = TruncatedSeries.x(30)
+        assert (x * a).coeffs == (0,) + a.coeffs[:-1]
+        assert (a * x).coeffs == schoolbook_product(a.coeffs, x.coeffs)
+        sparse = TruncatedSeries((0, 0, Fraction(1, 9)) + (0,) * 20 + (Fraction(-3, 7),) + (0,) * 7)
+        assert (sparse * a).coeffs == schoolbook_product(sparse.coeffs, a.coeffs)
+        assert exp_of(sparse).coeffs == schoolbook_exp(sparse.coeffs)
+
+    def test_orders_zero_and_one(self):
+        third, fifth = TruncatedSeries((Fraction(1, 3),)), TruncatedSeries((Fraction(-2, 5),))
+        assert (third * fifth).coeffs == (Fraction(-2, 15),)
+        assert (third * TruncatedSeries.x(5)).coeffs == (0,)
+        pair = TruncatedSeries((Fraction(1, 3), Fraction(5, 7)))
+        assert (pair * pair).coeffs == (Fraction(1, 9), Fraction(10, 21))
+        assert pair.pow_int(3).coeffs == (Fraction(1, 27), Fraction(5, 21))
+        assert exp_of(TruncatedSeries((0,))).coeffs == (1,)
+        assert exp_of(TruncatedSeries((0, Fraction(5, 7)))).coeffs == (1, Fraction(5, 7))
+
+    @pytest.mark.parametrize(
+        "n, k0, c, m",
+        [
+            (3, Fraction(4, 3), Fraction(5, 2), 1),
+            (3, Fraction(5, 3), Fraction(3, 2), Fraction(3, 2)),
+        ],
+    )
+    def test_exp_of_potential_gives_the_block_scales(self, n, k0, c, m):
+        # [x^r] e^{m u} = h_r, which the scan kernel computes without series.
+        p = CalabiParams(n, k0, c)
+        u = m * taylor_series(u_coeffs_closed(p, 80))
+        result = exp_of(u).coeffs
+        assert result == schoolbook_exp(u.coeffs)
+        assert result[1:] == tuple(h.value for h in h_values(p, m, 80))
