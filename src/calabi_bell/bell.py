@@ -39,7 +39,7 @@ __all__ = [
 
 class BellConsistencyError(ArithmeticError):
     """A scan's integer kernel disagreed with the Bell triangle over x_l
-    (raised by ``inequality._recheck``)."""
+    (``inequality._recheck``), or one of its exact divisions left a remainder."""
 
 
 def _check_indices(r: int, j: int) -> None:

@@ -15,11 +15,11 @@ The scan takes its rows from the exponential formula S(n, q, r) =
 r! [t^r] Y(t), Y = exp(-q X(-t)), X(t) = sum_l x_l t^l / l!. Since
 t X'(t) = 1 - (1 - n t)^(1/n), Y satisfies t Y' = q (R - 1) Y with
 R = (1 + n t)^(1/n), whose exponential coefficients are integers. With
-q = a/b, ``_s_rows`` computes the integers m! b^m S_m with no rational
-arithmetic until each row is reduced once: by a cyclic system over
-R^k Y, k < n, in O(n) big-integer products a row, or, when n is large
-against r_max, by the exponential-formula convolution in O(r) products
-a row. It never reads ``normalized_term``; h_r and the block scan read
+q = a/b, ``_s_rows`` computes the integers b^m gcd(n^m, m!) S_m with no
+rational arithmetic until each row is reduced once: by a cyclic system
+over R^k Y, k < n, in O(n) big-integer products and one exact division a
+row, or, when n is large against r_max, by the exponential-formula
+convolution in O(r) products a row. It never reads ``normalized_term``; h_r and the block scan read
 it too. ``alternating_bell_sum`` (the Bell triangle over x_l, O(r^3)) is
 its oracle and re-checks each path's last row up to r = 40.
 """
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from math import gcd
 
 from .bell import BellConsistencyError, BellTable
 from .rationals import Rational, _at_least, _positive, _Record, format_rational
@@ -105,79 +106,73 @@ class ScanReport(_Record):
 def _s_rows(n: int, q: Fraction, r_max: int) -> Iterator[Fraction]:
     """S(n, q, 1..r_max), one row at a time, in Python ints.
 
-    Both kernels below yield Y_m = m! b^m S_m for q = a/b; row m is the
-    single reduction Y_m / (m! b^m). The cyclic kernel costs O(n) big-integer
-    products per row and the convolution O(m), but the cyclic one keeps n
-    integers and a power (m b + a)^n, so it runs only while (28 n)^2 <= r_max^3,
-    a fit to the measured crossover (n ~ 8 at r = 40, 30-45 at r = 100,
-    200-250 at r = 300, 600 at r = 600).
+    For q = a/b both kernels yield B_0[m] = D_m S_m, an integer for
+    D_m = b^m prod_{i<=m} nu(i) = b^m gcd(n^m, m!) (README "Sign scan"); row m
+    is the single reduction B_0[m] / D_m. The cyclic kernel costs O(n)
+    big-integer products per row and the convolution O(m), but the cyclic one
+    keeps n integers and a power (m b + a)^n, so it runs only while
+    (28 n)^2 <= r_max^3, a fit to the measured crossover (n ~ 8 at r = 40,
+    30-45 at r = 100, 200-250 at r = 300, 600 at r = 600).
     """
     a, b = q.numerator, q.denominator
     kernel = _cyclic_rows if (28 * n) ** 2 <= r_max**3 else _convolution_rows
-    scale = 1  # m! b^m
+    scale = 1  # D_m
     for m, y in enumerate(kernel(n, a, b, r_max), 1):
-        scale *= m * b
+        scale *= b * _smooth_part(n, m)
         yield Fraction(y, scale)
 
 
+def _smooth_part(n: int, i: int) -> int:
+    """nu(i): the largest divisor of i whose primes all divide n."""
+    part, g = 1, gcd(i, n)
+    while g > 1:
+        part, i = part * g, i // g
+        g = gcd(i, g)
+    return part
+
+
 def _cyclic_rows(n: int, a: int, b: int, r_max: int) -> Iterator[int]:
-    """Y_1..Y_r_max by the cyclic system of G_k = R^k Y, O(n) products a row.
+    """B_0[1..r_max] by the cyclic system of G_k = R^k Y, O(n) products a row.
 
-    R' = R/(1 + n t) turns t Y' = q (R - 1) Y into
-    (1 + n t) t G_k' = k t G_k + q (1 + n t) (G_{k+1} - G_k), k < n, closed
-    by G_n = (1 + n t) G_0. On the integers A_k[m] = (m!)^2 b^m [t^m] G_k
-    (A_k[0] = 1, A_0[m] = Y_m) this reads, with c = m b + a,
-
-        c A_k[m] - a A_{k+1}[m] = T_k
-          = m^2 b (((k - n(m-1)) b - a n) A_k[m-1] + a n A_{k+1}[m-1]),
-        A_n[m] = A_0[m] + n m^2 b A_0[m-1].
-
-    Unrolling the cycle gives (c^n - a^n) A_0[m] =
-    sum_k c^(n-1-k) a^k T_k + a^n n m^2 b A_0[m-1]; back-substitution gives
-    A_{n-1}[m]..A_1[m], each an exact division by c.
+    Runs forward on A_k[m] = a^k D_m m! [t^m] G_k, k <= n, with one exact
+    division by c^n - a^n a row, c = m b + a (README "Sign scan").
     """
-    prev = [1] * (n + 1)  # A_0..A_n at row m - 1
+    a_n = a**n
+    prev = [a**k for k in range(n + 1)]  # A_0..A_n at row m - 1
     for m in range(1, r_max + 1):
-        c, mmb, base = m * b + a, m * m * b, -(m - 1) * n * b - a * n
-        ts = [mmb * ((base + k * b) * prev[k] + a * n * prev[k + 1]) for k in range(n)]
-        acc, a_pow = 0, 1
+        c, f, base = m * b + a, m * b * _smooth_part(n, m), -(m - 1) * n * b - a * n
+        ts = [(base + k * b) * prev[k] + n * prev[k + 1] for k in range(n)]
+        acc = 0
         for t in ts:
-            acc = acc * c + a_pow * t
-            a_pow *= a
-        tail = n * mmb * prev[0]
-        cur = [(acc + a_pow * tail) // (c**n - a_pow)] * (n + 1)
-        cur[n] = cur[0] + tail
-        for k in range(n - 1, 0, -1):
-            cur[k] = (a * cur[k + 1] + ts[k]) // c
-        prev = cur
-        yield cur[0]
+            acc = acc * c + t
+        y, remainder = divmod(f * (acc + a_n * n * prev[0]), c**n - a_n)
+        if remainder:
+            raise BellConsistencyError(f"c^n - a^n does not divide row {m} of the cyclic kernel")
+        prev = [y]
+        for t in ts:
+            prev.append(c * prev[-1] - f * t)
+        yield y
 
 
 def _convolution_rows(n: int, a: int, b: int, r_max: int) -> Iterator[int]:
-    """Y_1..Y_r_max by the exponential formula, O(m) products for row m.
-
-    Comparing t^m/m! coefficients in t Y' = q (R - 1) Y gives
-    m S_m = q sum_{i=1..m} C(m, i) rho_i S_{m-i}, where
-    rho_i = prod_{s<i} (1 - s n) are the exponential coefficients of
-    R = (1 + n t)^(1/n). With Y_0 = 1:
-
-        Y_m = a sum_{i=1..m} C(m, i) (m-1)!/(m-i)! rho_i b^(i-1) Y_{m-i},
-
-    all integers. It keeps only the rows, so it serves any n.
-    """
-    weights = [0]  # weights[i] = rho_i b^(i-1)
-    ys = [1]  # ys[m] = Y_m
+    """B_0[1..r_max] by the exponential formula, O(m) products for row m,
+    with one exact division by m a row (README "Sign scan"). It keeps only
+    the rows, so it serves any n."""
+    weights, nus, ys = [0], [1], [1]  # rho_i b^(i-1), nu(i), B_0[i]
     rho = 1
     for m in range(1, r_max + 1):
         rho *= 1 - (m - 1) * n
         weights.append(rho * b ** (m - 1))
-        acc = 0
-        coeff = m  # C(m, i) (m-1)!/(m-i)!, updated in i
+        nus.append(_smooth_part(n, m))
+        acc, coeff = 0, m * nus[m]  # C(m, i) G_m / G_{m-i}, updated in i
         for i in range(1, m + 1):
             acc += coeff * weights[i] * ys[m - i]
-            coeff = coeff * (m - i) // (i + 1) * (m - i)
-        ys.append(a * acc)
-        yield ys[m]
+            coeff = coeff * (m - i) // (i + 1) * nus[m - i]
+        y, remainder = divmod(a * acc, m)
+        if remainder:
+            raise BellConsistencyError(f"m does not divide row {m} of the convolution kernel")
+        ys.append(y)
+        yield y
 
 
 def _recheck(n: int, q: Fraction, r: int, value: Fraction, table: BellTable | None = None) -> None:
@@ -211,7 +206,7 @@ def min_negative_r(
     witness = None
     for r, value in enumerate(_s_rows(n, q, r_max), 1):
         rows.append((r, value))
-        if value < 0:
+        if value.numerator < 0:
             witness = r
             break
     _recheck(n, q, *rows[-1], table)

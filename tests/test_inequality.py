@@ -225,8 +225,39 @@ class TestScan:
             a, b = q.numerator, q.denominator
             cyclic = list(inequality_mod._cyclic_rows(n, a, b, 200))
             assert cyclic == list(inequality_mod._convolution_rows(n, a, b, 200)), (n, q)
-            rows = [Fraction(y, factorial(m) * b**m) for m, y in enumerate(cyclic, 1)]
+            rows = [Fraction(y, b**m * math.gcd(n**m, factorial(m))) for m, y in enumerate(cyclic, 1)]
             assert rows == fraction_rows(n, q, 200), (n, q)
+
+    def test_row_denominators_divide_the_kernel_scale(self):
+        # The kernels' rows B_0[r] = b^r gcd(n^r, r!) S_r are integers only
+        # if the reduced denominator of S_r divides that scale; checked here
+        # on the Fraction recurrence alone, at every r <= 150.
+        rng = random.Random(37)
+        for n in (2, 3, 4, 8, 12, 30):
+            b = rng.randint(1, 7)
+            q = Fraction(rng.choice([a for a in range(1, 40 * b) if math.gcd(a, b) == 1]), b)
+            for r, s in enumerate(fraction_rows(n, q, 150), 1):
+                scale = q.denominator**r * math.gcd(n**r, factorial(r))
+                assert scale % s.denominator == 0, (n, q, r)
+
+    @pytest.mark.parametrize(
+        "n,i,part", [(6, 12, 12), (4, 8, 8), (10**9 + 1, 6, 1), (2, 7, 1), (30, 90, 90), (3, 54, 27)]
+    )
+    def test_smooth_part(self, n, i, part):
+        # nu(i), the largest divisor of i whose primes all divide n.
+        assert inequality_mod._smooth_part(n, i) == part
+
+    @pytest.mark.parametrize("n,q", [(3, Fraction(5, 2)), (12, Fraction(7))])
+    def test_inexact_kernel_division_is_caught(self, monkeypatch, capsys, n, q):
+        # Without the nu(m) factors the rows are not integers; each kernel's
+        # exact division (n = 3 cyclic, n = 12 convolution at r_max = 40)
+        # then leaves a remainder instead of flooring it away.
+        smooth_part = inequality_mod._smooth_part
+        monkeypatch.setattr(inequality_mod, "_smooth_part", lambda m, i: 1 if m == n else smooth_part(m, i))
+        with pytest.raises(BellConsistencyError):
+            min_negative_r(n, q, 40)
+        assert main(["scan", "--n", str(n), "--q", str(q), "--rmax", "40"]) == 2
+        assert "internal consistency failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "n,r_max,kernel",
