@@ -19,9 +19,10 @@ q = a/b, ``_s_rows`` computes the integers b^m gcd(n^m, m!) S_m with no
 rational arithmetic until each row is reduced once: by a cyclic system
 over R^k Y, k < n, in O(n) big-integer products and one exact division a
 row, or, when n is large against r_max, by the exponential-formula
-convolution in O(r) products a row. It never reads ``normalized_term``; h_r and the block scan read
-it too. ``alternating_bell_sum`` (the Bell triangle over x_l, O(r^3)) is
-its oracle and re-checks each path's last row up to r = 40.
+convolution in O(r) products a row. It never reads ``normalized_term``;
+h_r and the block scan read it too. ``alternating_bell_sum`` (the Bell
+triangle over x_l, O(r^3)) is its oracle and re-checks each path's last
+row up to r = 40.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _convolution_rows(n: int, a: int, b: int, r_max: int) -> Iterator[int]:
         rho *= 1 - (m - 1) * n
         weights.append(rho * b ** (m - 1))
         nus.append(_smooth_part(n, m))
-        acc, coeff = 0, m * nus[m]  # C(m, i) G_m / G_{m-i}, updated in i
+        acc, coeff = 0, m * nus[m]  # C(m, i) nu(m-i+1)...nu(m), updated in i
         for i in range(1, m + 1):
             acc += coeff * weights[i] * ys[m - i]
             coeff = coeff * (m - i) // (i + 1) * nus[m - i]

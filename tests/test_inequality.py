@@ -254,7 +254,7 @@ class TestScan:
         # then leaves a remainder instead of flooring it away.
         smooth_part = inequality_mod._smooth_part
         monkeypatch.setattr(inequality_mod, "_smooth_part", lambda m, i: 1 if m == n else smooth_part(m, i))
-        with pytest.raises(BellConsistencyError):
+        with pytest.raises(BellConsistencyError, match="does not divide row"):
             min_negative_r(n, q, 40)
         assert main(["scan", "--n", str(n), "--q", str(q), "--rmax", "40"]) == 2
         assert "internal consistency failure" in capsys.readouterr().err

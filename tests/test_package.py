@@ -6,6 +6,8 @@ tour."""
 import ast
 import contextlib
 import io
+import json
+import math
 import os
 import re
 import subprocess
@@ -398,7 +400,8 @@ def test_cli_import_loads_no_dataclasses_chain():
 # 1,760 once the names no caller reached were gone, and 1,771 with the
 # evaluator's n ceiling and the shared CLI parser; the budget was set there
 # with a 9-line margin. It is 1,778 with the series layer's running common
-# denominator, paid for in part by deleting code that earned nothing.
+# denominator, paid for in part by deleting code that earned nothing, and
+# 1,774 with the scan kernels on the scale b^m gcd(n^m, m!).
 SOURCE_LINE_BUDGET = 1780
 
 
@@ -406,6 +409,22 @@ def test_source_stays_under_budget():
     paths = (ROOT / "src" / "calabi_bell").glob("*.py")
     total = sum(len(path.read_text().splitlines()) for path in paths)
     assert total < SOURCE_LINE_BUDGET, f"src/calabi_bell has {total} lines"
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_benchmark_record_is_complete(path):
+    # A committed benchmark record carries its provenance and, per workload,
+    # every end-to-end metric with a ratio that matches its medians.
+    record = json.loads(path.read_text())
+    for key in ("name", "machine", "parent_commit", "change_commit", "command", "method", "workloads"):
+        assert record.get(key), key
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert len(metrics) == 5
+    for workload, entry in record["workloads"].items():
+        assert sorted(entry["summary"]) == sorted(metrics), workload
+        for metric, stats in entry["summary"].items():
+            ratio = stats["change_median"] / stats["parent_median"]
+            assert math.isclose(stats["change_over_parent"], ratio, rel_tol=1e-12), (workload, metric)
 
 
 def test_package_imports_only_the_standard_library():
