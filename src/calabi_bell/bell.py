@@ -15,9 +15,8 @@ path is the binomial recurrence
     B_{r,j} = sum_{i=1}^{r-j+1} C(r-1, i-1) * x_i * B_{r-i, j-1}
 
 with B_{0,0} = 1, which ``BellTable`` memoizes row by row, O(r^3) in all, for
-``bell`` and as the oracle of S and h_r, whose integer kernel
-(``inequality._s_rows``) costs O(n r) or O(r^2). Both recurrences take each
-inner i-sum as one ``rationals._dot``; the partition-sum oracle does not.
+``bell`` and as the oracle of the integer kernel of S and h_r. Both
+recurrences take each inner i-sum as one ``rationals._dot``.
 """
 
 from __future__ import annotations

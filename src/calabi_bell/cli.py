@@ -6,24 +6,22 @@ check), ``hr`` (block-scale constants), ``scan`` (sign scan over r, with
 a ``--grid`` variant that scans several q in turn), ``blocks`` (the
 projective-space block demonstration).
 
-Each handler computes and builds its output once: a JSON payload (for
-``scan`` and ``blocks``, the report's ``to_dict()``) whose rendered
-strings the CSV rows and the table lines reuse. One writer, ``_emit``,
-prints whichever of the three ``--format`` asks for. Exact quantities are
+Each handler builds its JSON payload once (for ``scan`` and ``blocks``,
+the report's ``to_dict()``), the one source of rendered strings, and hands
+it to ``_emit`` with generators of the CSV rows and the table lines over
+it; only the ``--format`` asked for is rendered. Exact quantities are
 printed as ``p/q``.
 
 One parser serves a process: built on the first ``main`` call, never at
 import. ``main`` finds ``_cmd_<subcommand>`` by name on each call.
 
-The handlers check only the CLI's own rules, the work ceiling
-``RMAX_CEILING`` and "``--order`` unless ``--eval``". Every rule on a
-value (n >= 2, q > 0, 1 <= j <= r, a finite ``--eval`` point >= 0, ...)
-belongs to the library, which raises ``rationals.InputError`` before any
-work starts. Exit codes: 0 success, 1 usage error (bad flags, malformed
-rationals, an ``InputError``), 2 internal consistency failure (the
-cross-checking machinery caught a disagreement; this should never happen
-and is worth a bug report). Any other exception is a fault and
-propagates.
+The handlers check only the CLI's own rules, ``RMAX_CEILING`` and
+"``--order`` unless ``--eval``"; every rule on a value belongs to the
+library, which raises ``rationals.InputError`` before any work. Exit
+codes: 0 success, 1 usage error (bad flags, malformed rationals, an
+``InputError``), 2 internal consistency failure (the cross-checking
+machinery caught a disagreement; worth a bug report). Any other
+exception is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -33,8 +31,9 @@ import csv
 import functools
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bell import BellConsistencyError, complete_bell, partial_bell_recurrence
 from .diastasis import FubiniStudyBase, eh_block_scan
@@ -87,22 +86,42 @@ def _check_rmax(value: int, name: str) -> None:
         raise InputError(f"{name} {value} is above the work ceiling RMAX_CEILING = {RMAX_CEILING}")
 
 
-def _emit(fmt: str, payload: dict | list, columns: list[str], rows: list, table: list[str]) -> int:
+def _emit(fmt: str, payload, columns: list[str], rows: Iterable, table: Iterable[str]) -> int:
     """Write a command's output once, in the chosen format: the JSON
-    ``payload``, the CSV of ``columns`` and ``rows``, or the ``table`` lines."""
+    ``payload`` (dict or list), the CSV of ``columns`` and ``rows``, or the
+    ``table`` lines.
+    ``rows`` and ``table`` may be generators, even one shared: only the
+    chosen format reads them."""
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
     else:
-        text = json.dumps(payload, indent=2) if fmt == "json" else "\n".join(table)
-        sys.stdout.write(text + "\n")
+        sys.stdout.write((_json(payload) if fmt == "json" else "\n".join(table)) + "\n")
     return 0
 
 
-def _tab(columns: list[str], rows: list[list]) -> list[str]:
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, which never reaches the C encoder:
+    the containers are indented here, each str leaf goes through the C
+    ``encode_basestring_ascii`` and each int through ``int.__repr__``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if not value or not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{" + inner + f",{inner}".join(items) + indent + "}"
+    return "[" + inner + f",{inner}".join([_json(v, inner) for v in value]) + indent + "]"
+
+
+def _tab(columns: list[str], rows: Iterable[list]) -> Iterator[str]:
     """Tab-separated table lines: a header of ``columns``, then the rows."""
-    return ["\t".join(map(str, line)) for line in [columns, *rows]]
+    yield "\t".join(columns)
+    yield from ("\t".join(map(str, line)) for line in rows)
 
 
 # -- bell -----------------------------------------------------------------
@@ -139,11 +158,11 @@ def _cmd_useries(args) -> int:
     rendered = [format_rational(v) for v in seq.values]
     payload = {**_params_payload(params), "order": args.order, "method": args.method}
     payload["values"] = rendered
-    table = [", ".join(rendered)]
+    lines = [rendered]  # each table line joins its items with ", "
     if args.method == "both":
         payload["methods_agree"] = True
-        table.append("methods agree")
-    return _emit(args.format, payload, ["j", "a"], list(enumerate(rendered, 1)), table)
+        lines.append(["methods agree"])
+    return _emit(args.format, payload, ["j", "a"], enumerate(rendered, 1), map(", ".join, lines))
 
 
 def _useries_eval(params: CalabiParams, args) -> int:
@@ -159,10 +178,11 @@ def _useries_eval(params: CalabiParams, args) -> int:
         "fiber_factor": report.fiber_factor,
         "ode_residual": report.ode_residual,
     }
-    table = [f"u({x!r}) = {value!r}"]
-    table.extend(f"{name} = {v!r}" for name, v in list(values.items())[2:])
+    table = (
+        f"u({x!r}) = {v!r}" if k == "u" else f"{k} = {v!r}" for k, v in values.items() if k != "x"
+    )
     payload = {**_params_payload(params), **values}
-    return _emit(args.format, payload, list(values), [list(values.values())], table)
+    return _emit(args.format, payload, list(values), [values.values()], table)
 
 
 # -- hr ---------------------------------------------------------------------
@@ -175,34 +195,36 @@ def _cmd_hr(args) -> int:
     values = h_values(params, args.m, r_max)
     if args.r is not None:
         values = values[-1:]
-    rows = [[item.r, format_rational(item.value)] for item in values]
-    payload = {**_params_payload(params), "m": format_rational(args.m)}
-    payload["values"] = [{"r": r, "h": h} for r, h in rows]
-    table = [rows[0][1]] if args.r is not None else _tab(["r", "h"], rows)
+    hs = [{"r": item.r, "h": format_rational(item.value)} for item in values]
+    payload = {**_params_payload(params), "m": format_rational(args.m), "values": hs}
+    rows = ([h["r"], h["h"]] for h in hs)
+    table = (h["h"] for h in hs) if args.r is not None else _tab(["r", "h"], rows)
     return _emit(args.format, payload, ["r", "h"], rows, table)
 
 
 # -- scan --------------------------------------------------------------------
 
 
-def _scan_table(scan: dict) -> list[str]:
-    """The table lines of one ``ScanReport.to_dict()``."""
-    lines = [f"n = {scan['n']}  q = {scan['q']}  r_max = {scan['r_max']}"]
-    lines.extend(_tab(["r", "S"], [[row["r"], row["S"]] for row in scan["rows"]]))
-    none = f"none (no sign failure through r_max = {scan['r_max']})"
-    return [*lines, f"min_negative_r = {scan.get('min_negative_r', none)}"]
+def _scan_table(scans: list[dict]) -> Iterator[str]:
+    """The table lines of ``ScanReport.to_dict()`` payloads, a blank line between two."""
+    for i, scan in enumerate(scans):
+        if i:
+            yield ""
+        yield f"n = {scan['n']}  q = {scan['q']}  r_max = {scan['r_max']}"
+        yield from _tab(["r", "S"], ([row["r"], row["S"]] for row in scan["rows"]))
+        none = f"none (no sign failure through r_max = {scan['r_max']})"
+        yield f"min_negative_r = {scan.get('min_negative_r', none)}"
 
 
 def _cmd_scan(args) -> int:
     _check_rmax(args.rmax, "--rmax")
     if args.grid is not None:
         scans = [report.to_dict() for report in scan_grid(args.n, list(args.grid), args.rmax)]
-        rows = [[scan["q"], row["r"], row["S"]] for scan in scans for row in scan["rows"]]
-        table = "\n\n".join("\n".join(_scan_table(scan)) for scan in scans)
-        return _emit(args.format, scans, ["q", "r", "S"], rows, [table])
+        rows = ([scan["q"], row["r"], row["S"]] for scan in scans for row in scan["rows"])
+        return _emit(args.format, scans, ["q", "r", "S"], rows, _scan_table(scans))
     scan = min_negative_r(args.n, args.q, args.rmax).to_dict()
-    rows = [[row["r"], row["S"]] for row in scan["rows"]]
-    return _emit(args.format, scan, ["r", "S"], rows, _scan_table(scan))
+    rows = ([row["r"], row["S"]] for row in scan["rows"])
+    return _emit(args.format, scan, ["r", "S"], rows, _scan_table([scan]))
 
 
 # -- blocks -------------------------------------------------------------------
@@ -210,23 +232,22 @@ def _cmd_scan(args) -> int:
 
 def _cmd_blocks(args) -> int:
     _check_rmax(args.rmax, "--rmax")
-    scan = eh_block_scan(FubiniStudyBase(args.d, args.multiple), args.c, args.rmax, args.cutoff)
-    payload = scan.to_dict()
+    base = FubiniStudyBase(args.d, args.multiple)
+    payload = eh_block_scan(base, args.c, args.rmax, args.cutoff).to_dict()
     columns = ["r", "exponent", "scale", "verdict"]
-    rows = [[block[name] for name in columns] for block in payload.get("blocks", [])]
-    table = [
-        f"d = {payload['d']}  lambda = {payload['lambda']}  k0 = {payload['k0']}"
-        f"  c = {payload['c']}  cutoff = {payload['cutoff']}"
-    ]
-    if scan.integrality_failure:
-        table.append(f"integrality failure: {scan.failure_reason}")
-    else:
-        table.extend(_tab(columns, rows))
-        witness = scan.first_negative_r
-        if witness is None:
-            witness = f"none (all scales non-negative through r_max = {scan.r_max})"
-        table.append(f"first_negative_r = {witness}")
-    return _emit(args.format, payload, columns, rows, table)
+    rows = ([block[name] for name in columns] for block in payload.get("blocks", []))
+    return _emit(args.format, payload, columns, rows, _blocks_table(payload, columns, rows))
+
+
+def _blocks_table(scan: dict, columns: list[str], rows: Iterable[list]) -> Iterator[str]:
+    """The table lines of one ``BlockScanReport.to_dict()`` with its CSV ``rows``."""
+    yield "d = {d}  lambda = {lambda}  k0 = {k0}  c = {c}  cutoff = {cutoff}".format_map(scan)
+    if scan["integrality_failure"]:
+        yield f"integrality failure: {scan['failure_reason']}"
+        return
+    yield from _tab(columns, rows)
+    none = f"none (all scales non-negative through r_max = {scan['r_max']})"
+    yield f"first_negative_r = {scan.get('first_negative_r', none)}"
 
 
 # -- wiring --------------------------------------------------------------------

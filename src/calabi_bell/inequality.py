@@ -12,17 +12,12 @@ exactly a negative block. ``min_negative_r`` scans r = 1, 2, ... and
 reports the first sign failure with the full row history.
 
 The scan takes its rows from the exponential formula S(n, q, r) =
-r! [t^r] Y(t), Y = exp(-q X(-t)), X(t) = sum_l x_l t^l / l!. Since
-t X'(t) = 1 - (1 - n t)^(1/n), Y satisfies t Y' = q (R - 1) Y with
-R = (1 + n t)^(1/n), whose exponential coefficients are integers. With
-q = a/b, ``_s_rows`` computes the integers b^m gcd(n^m, m!) S_m with no
-rational arithmetic until each row is reduced once: by a cyclic system
-over R^k Y, k < n, in O(n) big-integer products and one exact division a
-row, or, when n is large against r_max, by the exponential-formula
-convolution in O(r) products a row. It never reads ``normalized_term``;
-h_r and the block scan read it too. ``alternating_bell_sum`` (the Bell
-triangle over x_l, O(r^3)) is its oracle and re-checks each path's last
-row up to r = 40.
+r! [t^r] exp(-q X(-t)), X(t) = sum_l x_l t^l / l!, which runs on
+R = (1 + n t)^(1/n) (README "Sign scan"): ``_s_rows`` computes integers
+b^m gcd(n^m, m!) S_m for q = a/b, each reduced once, in O(n) or O(r)
+big-integer products a row. h_r and the block scan read it too.
+``alternating_bell_sum`` (the Bell triangle over x_l, O(r^3)) is its
+oracle and re-checks each path's last row up to r = 40.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from .bell import BellConsistencyError, BellTable
-from .rationals import Rational, _at_least, _positive, _Record, format_rational
+from .rationals import Rational, _at_least, _dot, _positive, _Record, format_rational
 
 __all__ = [
     "normalized_term",
@@ -70,12 +65,10 @@ def alternating_bell_sum(
     _at_least(r, 1, "r")
     if table is None:
         table = BellTable(lambda l: normalized_term(n, l))
-    acc = Fraction(0)
-    power = Fraction(1)
-    for entry in table.row(r):  # B_{r,1}, ..., B_{r,r}
-        power *= -q
-        acc += power * entry
-    return acc if r % 2 == 0 else -acc
+    # q = a/b: b^r S = (-1)^r sum_j (-a)^j b^(r-j) B_{r,j}, one exact sum.
+    a, b = q.numerator, q.denominator
+    total = _dot([(-a) ** j * b ** (r - j) for j in range(1, r + 1)], table.row(r))
+    return Fraction((-1) ** r * total.numerator, total.denominator * b**r)
 
 
 class ScanReport(_Record):
@@ -107,19 +100,18 @@ class ScanReport(_Record):
 def _s_rows(n: int, q: Fraction, r_max: int) -> Iterator[Fraction]:
     """S(n, q, 1..r_max), one row at a time, in Python ints.
 
-    For q = a/b both kernels yield B_0[m] = D_m S_m, an integer for
+    For q = a/b both kernels yield nu(m) and B_0[m] = D_m S_m, an integer for
     D_m = b^m prod_{i<=m} nu(i) = b^m gcd(n^m, m!) (README "Sign scan"); row m
     is the single reduction B_0[m] / D_m. The cyclic kernel costs O(n)
     big-integer products per row and the convolution O(m), but the cyclic one
     keeps n integers and a power (m b + a)^n, so it runs only while
-    (28 n)^2 <= r_max^3, a fit to the measured crossover (n ~ 8 at r = 40,
-    30-45 at r = 100, 200-250 at r = 300, 600 at r = 600).
+    (28 n)^2 <= r_max^3, a fit to the measured crossover (README "Sign scan").
     """
     a, b = q.numerator, q.denominator
     kernel = _cyclic_rows if (28 * n) ** 2 <= r_max**3 else _convolution_rows
     scale = 1  # D_m
-    for m, y in enumerate(kernel(n, a, b, r_max), 1):
-        scale *= b * _smooth_part(n, m)
+    for nu, y in kernel(n, a, b, r_max):
+        scale *= b * nu
         yield Fraction(y, scale)
 
 
@@ -132,8 +124,9 @@ def _smooth_part(n: int, i: int) -> int:
     return part
 
 
-def _cyclic_rows(n: int, a: int, b: int, r_max: int) -> Iterator[int]:
-    """B_0[1..r_max] by the cyclic system of G_k = R^k Y, O(n) products a row.
+def _cyclic_rows(n: int, a: int, b: int, r_max: int) -> Iterator[tuple[int, int]]:
+    """(nu(m), B_0[m]), m = 1..r_max, by the cyclic system of G_k = R^k Y,
+    O(n) products a row.
 
     Runs forward on A_k[m] = a^k D_m m! [t^m] G_k, k <= n, with one exact
     division by c^n - a^n a row, c = m b + a (README "Sign scan").
@@ -141,7 +134,8 @@ def _cyclic_rows(n: int, a: int, b: int, r_max: int) -> Iterator[int]:
     a_n = a**n
     prev = [a**k for k in range(n + 1)]  # A_0..A_n at row m - 1
     for m in range(1, r_max + 1):
-        c, f, base = m * b + a, m * b * _smooth_part(n, m), -(m - 1) * n * b - a * n
+        nu = _smooth_part(n, m)
+        c, f, base = m * b + a, m * b * nu, -(m - 1) * n * b - a * n
         ts = [(base + k * b) * prev[k] + n * prev[k + 1] for k in range(n)]
         acc = 0
         for t in ts:
@@ -152,13 +146,13 @@ def _cyclic_rows(n: int, a: int, b: int, r_max: int) -> Iterator[int]:
         prev = [y]
         for t in ts:
             prev.append(c * prev[-1] - f * t)
-        yield y
+        yield nu, y
 
 
-def _convolution_rows(n: int, a: int, b: int, r_max: int) -> Iterator[int]:
-    """B_0[1..r_max] by the exponential formula, O(m) products for row m,
-    with one exact division by m a row (README "Sign scan"). It keeps only
-    the rows, so it serves any n."""
+def _convolution_rows(n: int, a: int, b: int, r_max: int) -> Iterator[tuple[int, int]]:
+    """(nu(m), B_0[m]), m = 1..r_max, by the exponential formula, O(m)
+    products and one exact division by m for row m (README "Sign scan"). It
+    keeps only the rows, so it serves any n."""
     weights, nus, ys = [0], [1], [1]  # rho_i b^(i-1), nu(i), B_0[i]
     rho = 1
     for m in range(1, r_max + 1):
@@ -173,7 +167,7 @@ def _convolution_rows(n: int, a: int, b: int, r_max: int) -> Iterator[int]:
         if remainder:
             raise BellConsistencyError(f"m does not divide row {m} of the convolution kernel")
         ys.append(y)
-        yield y
+        yield nus[m], y
 
 
 def _recheck(n: int, q: Fraction, r: int, value: Fraction, table: BellTable | None = None) -> None:

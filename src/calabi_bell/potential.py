@@ -14,12 +14,8 @@ closed form numerically:
 * ``u_coeffs_closed``: the explicit product formula for
   a_j = u^(j)(0), exact rationals;
 * ``u_coeffs_ode``: forward substitution on the defining condition,
-  no knowledge of the product formula. With y = k0 c x and
-  u'(x) = c f(y) the condition becomes (1 + y f)^{n-1} (f + y f') = 1,
-  i.e. V^{n-1} V' = 1 for V = 1 + y f, V(0) = 1; differentiated once,
-  (V^2)'' = -2(n-2) V'^2. The scaled coefficients N_s = n^s [y^s] V
-  obey an all-integer recurrence with an exact division, guarded
-  (below), and a_j = c^j k0^{j-1} (j-1)! N_j / n^j;
+  no knowledge of the product formula: an all-integer recurrence on the
+  ordinary coefficients of V = 1 + k0 x u', with a guarded exact division;
 * ``u_coeffs``: both, with exact agreement enforced;
 * ``ClosedFormEvaluator``: double-precision values of u, u', u'' away
   from 0, via the n-th root t(x) = (1 + n k0 c x)^{1/n} and
@@ -140,23 +136,15 @@ def u_coeffs_closed(params: CalabiParams, order: int) -> CoefficientSequence:
 def u_coeffs_ode(params: CalabiParams, order: int) -> CoefficientSequence:
     """Derivatives at 0 by forward substitution on the defining condition.
 
-    Substituting y = k0 c x and u'(x) = c f(y) turns the condition into
-    (1 + y f)^{n-1} (f + y f') = 1. With V = 1 + y f this reads
-    V^{n-1} V' = 1, V(0) = 1, so V'(0) = 1; differentiated once,
-    V V'' + (n-1) V'^2 = 0, i.e. (V^2)'' = -2(n-2) V'^2.
+    With y = k0 c x, u'(x) = c f(y) and V = 1 + y f the condition reads
+    V^{n-1} V' = 1, so (V^2)'' = -2(n-2) V'^2, and the integers
+    N_s = n^s [y^s] V (N_0 = 1, N_1 = n) obey, for s >= 2,
 
-    In the scaled ordinary coefficients N_s = n^s [y^s] V (N_0 = 1,
-    N_1 = n), comparing [y^{s-2}] on both sides gives, for s >= 2,
+        2 s (s-1) N_s = -sum_{a=1}^{s-1} (s(s-1) + 2(n-2) a(s-a)) N_a N_{s-a},
 
-        2 s (s-1) N_s = -sum_{a=1}^{s-1} (s(s-1) + 2(n-2) a(s-a)) N_a N_{s-a}.
-
-    The weight is symmetric in a <-> s - a, so each pair is folded into
-    one product. The division is exact: N_s = n^{2s} C(1/n, s) is an
-    integer (a p-adic integer for p not dividing n, and divisible by p
-    when p divides n), so a remainder means the recurrence went wrong and
-    raises ``CoefficientMethodMismatch`` instead of being floored away.
-    Undoing the substitution, a_j = c^j k0^{j-1} (j-1)! N_j / n^j: one
-    exact division per coefficient.
+    each pair a <-> s - a folded into one product. The division is exact
+    (README "What it computes"), so a remainder raises
+    ``CoefficientMethodMismatch``. Then a_j = c^j k0^{j-1} (j-1)! N_j / n^j.
     """
     _at_least(order, 1, "order")
     n = params.n
@@ -217,9 +205,10 @@ def condition_series_residual(params: CalabiParams, order: int) -> TruncatedSeri
     depth = _at_least(order, 1, "order") + 1
     seq = u_coeffs_ode(params, depth + 1)
     u_prime = TruncatedSeries(tuple(seq.values[k] / factorial(k) for k in range(depth + 1)))
-    x = TruncatedSeries.x(depth)
-    horizontal = 1 + params.k0 * (x * u_prime)
-    fiber = u_prime + x * u_prime.derivative()
+    u_second = u_prime.derivative()
+    # x * s at the order of s is the shift (0, s_0, ..., s_{order-1}).
+    horizontal = 1 + params.k0 * TruncatedSeries((Fraction(0), *u_prime.coeffs[:-1]))
+    fiber = u_prime + TruncatedSeries((Fraction(0), *u_second.coeffs[:-1]))
     return horizontal.pow_int(params.n - 1) * fiber - params.c
 
 
@@ -305,11 +294,8 @@ class ClosedFormEvaluator:
     imaginary parts cancel in conjugate pairs. The leftover imaginary
     residue is checked against ``imag_tol`` on every call; exceeding it
     means a branch was crossed and raises ``BranchResidueError`` instead
-    of returning a silently wrong value. An n above ``EVAL_N_CEILING``,
-    and parameters k0, c or n k0 c that overflow or underflow a double,
-    raise ``InputError`` on construction, as does, on a call, an x that
-    is not a finite number >= 0 or whose radicand or value of u, u' or
-    u'' does not fit in a double.
+    of returning a silently wrong value. Out-of-range input raises
+    ``InputError`` (README "Design notes", "The numeric layer is guarded").
     """
 
     def __init__(self, params: CalabiParams, imag_tol: float = 1e-10):

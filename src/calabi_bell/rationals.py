@@ -14,17 +14,13 @@ What this module adds is the thin contract layer the rest of the package
   ``float`` raises ``TypeError`` there and a string must pass
   ``parse_rational``, as every CLI flag does,
 * ``InputError``, the ``ValueError`` of every input value the package
-  refuses (a float stays a ``TypeError``, at ``_exact``), and the two
-  range rules the other modules call: ``_at_least`` (an int >= a bound)
-  and ``_positive`` (``_exact``, then > 0). The CLI restates none of
-  them: it prints an ``InputError`` as ``error: ...`` and exits 1,
+  refuses, and the two range rules the other modules call: ``_at_least``
+  (an int >= a bound) and ``_positive`` (``_exact``, then > 0),
 * strict ``"p/q"`` parsing and rendering (the textual form used in JSON
   and CSV output; decimal strings are rejected so nothing silently goes
   through floating point),
-* ``factorial`` (``math.factorial`` itself; the Bell loops take their
-  binomials from ``math.comb``), and generalized binomial coefficients with rational
-  upper argument, which the diastasis code needs for non-integer
-  exponents,
+* ``factorial`` (``math.factorial`` itself) and generalized binomial
+  coefficients with rational upper argument (non-integer diastasis exponents),
 * ``_dot``, the exact sum of products of the two Bell recurrences (the
   series layer keeps its operands as ints over a common denominator),
 * ``_Record``, the base of the package's immutable value classes.

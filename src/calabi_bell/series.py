@@ -97,7 +97,7 @@ class TruncatedSeries(_Record):
         _at_least(exponent, 0, "exponent")
         result = self if exponent else TruncatedSeries.one(self.order)
         for bit in bin(exponent)[3:]:  # the bits after the leading one
-            result = result * result
+            result = TruncatedSeries(tuple(_square(result.coeffs)))
             if bit == "1":
                 result = result * self
         return result
@@ -135,6 +135,14 @@ def exp_of(series: TruncatedSeries) -> TruncatedSeries:
     for k, ((w, dw), (y, dy)) in enumerate(zip(weighted, _common(b)), 1):
         b.append(Fraction(sum(map(mul, w, reversed(y))), dw * dy * k))
     return TruncatedSeries(tuple(b))
+
+
+def _square(coeffs: tuple[Fraction, ...]) -> Iterator[Fraction]:
+    """The coefficients of the series squared: each pair i != k - i
+    multiplied once and doubled, plus the middle term when k is even."""
+    for k, (x, den) in enumerate(_common(coeffs)):
+        middle = 0 if k % 2 else x[k // 2] ** 2
+        yield Fraction(2 * sum(map(mul, x[: (k + 1) // 2], reversed(x))) + middle, den * den)
 
 
 def _common(values: Iterable[Fraction]) -> Iterator[tuple[list[int], int]]:

@@ -577,6 +577,47 @@ def test_golden_output(capsys, case):
     assert (code, out) == (case["code"], case["stdout"])
 
 
+JSON_CASES = [case for case in GOLDEN if case["code"] == 0 and "json" in case["argv"]]
+
+
+class TestJsonWriter:
+    """``cli._json`` builds what ``json.dumps(value, indent=2)`` would, with
+    the C string encoder on every leaf; checked on every JSON payload of the
+    golden fixture and on edge values."""
+
+    @pytest.mark.parametrize("case", JSON_CASES, ids=lambda case: " ".join(case["argv"]))
+    def test_golden_payloads(self, case):
+        value = json.loads(case["stdout"])
+        assert cli_mod._json(value) == json.dumps(value, indent=2) == case["stdout"][:-1]
+
+    def test_every_payload_kind_is_covered(self):
+        commands = {case["argv"][0] for case in JSON_CASES}
+        assert commands == {"bell", "useries", "hr", "scan", "blocks"}
+        assert any("--grid" in case["argv"] for case in JSON_CASES)
+        assert any("--eval" in case["argv"] for case in JSON_CASES)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"blocks": [], "reason": {}},
+            [{"n": 2, "q": "1/2", "rows": [{"r": 1, "S": "1/2"}]}, {"n": 2, "q": "3", "rows": []}],
+            {"methods_agree": True, "integrality_failure": False, "none": None},
+            {"x": 0.5, "u": 1e-300, "big": 1.7976931348623157e308, "zero": -0.0, "inf": math.inf},
+            {'quote " and \\': 'quote " backslash \\ tab \t newline \n', "unicode": "λ é ∑ \u2028 😀"},
+            {"control": "\x00\x1f\x7f", "ints": [0, -1, 10**40, True], "nested": [[1, [2, []]], {"a": [{}]}]},
+            "bare string",
+            -7,
+            2.5,
+            False,
+            None,
+        ],
+    )
+    def test_edge_payloads(self, value):
+        assert cli_mod._json(value) == json.dumps(value, indent=2)
+
+
 class TestSharedParser:
     """One parser serves every ``main`` call in a process, and no call
     leaves state in it that changes a later one."""

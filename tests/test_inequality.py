@@ -119,6 +119,22 @@ class TestAlternatingSum:
             assert (h_val > 0) == (s_val > 0)
             assert (h_val == 0) == (s_val == 0)
 
+    def test_matches_the_fraction_sum(self):
+        # The one-denominator sum against the defining sum taken term by term
+        # in Fraction arithmetic: n <= 8, q = a/b with b <= 7, r <= 40.
+        rng = random.Random(38)
+        cases = [(2, Fraction(3), 40), (5, Fraction(2, 7), 39), (8, Fraction(1, 6), 1)]
+        for _ in range(10):
+            b = rng.randint(1, 7)
+            a = rng.choice([a for a in range(1, 50 * b) if math.gcd(a, b) == 1])
+            cases.append((rng.randint(2, 8), Fraction(a, b), rng.randint(1, 40)))
+        assert {q.denominator == 1 for _, q, _ in cases} == {True, False}
+        assert {r % 2 for _, _, r in cases} == {0, 1}
+        for n, q, r in cases:
+            row = BellTable(lambda l: normalized_term(n, l)).row(r)
+            expected = sum(((-q) ** j * entry for j, entry in enumerate(row, 1)), Fraction(0))
+            assert alternating_bell_sum(n, q, r) == (-1) ** r * expected, (n, q, r)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             alternating_bell_sum(1, 1, 1)
@@ -225,7 +241,9 @@ class TestScan:
             a, b = q.numerator, q.denominator
             cyclic = list(inequality_mod._cyclic_rows(n, a, b, 200))
             assert cyclic == list(inequality_mod._convolution_rows(n, a, b, 200)), (n, q)
-            rows = [Fraction(y, b**m * math.gcd(n**m, factorial(m))) for m, y in enumerate(cyclic, 1)]
+            # Each kernel yields nu(m) with its row, for the scale to reuse.
+            assert [nu for nu, _ in cyclic] == [inequality_mod._smooth_part(n, m) for m in range(1, 201)]
+            rows = [Fraction(y, b**m * math.gcd(n**m, factorial(m))) for m, (_, y) in enumerate(cyclic, 1)]
             assert rows == fraction_rows(n, q, 200), (n, q)
 
     def test_row_denominators_divide_the_kernel_scale(self):

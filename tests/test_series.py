@@ -246,6 +246,18 @@ class TestCommonDenominator:
         a0 = TruncatedSeries((0,) + a.coeffs[1:])
         assert exp_of(a0).coeffs == schoolbook_exp(a0.coeffs)
 
+    def test_square_multiplies_each_pair_once(self):
+        # pow_int squares symmetrically (each x_i x_{k-i}, i != k - i, once
+        # and doubled); that must equal the general product and the
+        # schoolbook one, at orders 0, 1 and 2 as on the prime series.
+        rng = random.Random(43)
+        a = prime_series(rng, PRIMES[:61])
+        small = [TruncatedSeries(a.coeffs[: order + 1]) for order in (0, 1, 2)]
+        for s in [a, *small, mixed_series(rng, 9)]:
+            expected = schoolbook_product(s.coeffs, s.coeffs)
+            assert s.pow_int(2).coeffs == (s * s).coeffs == expected
+            assert s.pow_int(4).coeffs == schoolbook_product(expected, expected)
+
     def test_denominators_grow_then_fall_back(self):
         rise_fall = TruncatedSeries(tuple(map(Fraction, ("1/6", "1/2", "1/3", "1", "5/4"))))
         other = TruncatedSeries(tuple(reversed(rise_fall.coeffs)))
