@@ -89,9 +89,8 @@ def _check_rmax(value: int, name: str) -> None:
 def _emit(fmt: str, payload, columns: list[str], rows: Iterable, table: Iterable[str]) -> int:
     """Write a command's output once, in the chosen format: the JSON
     ``payload`` (dict or list), the CSV of ``columns`` and ``rows``, or the
-    ``table`` lines.
-    ``rows`` and ``table`` may be generators, even one shared: only the
-    chosen format reads them."""
+    ``table`` lines. ``rows`` and ``table`` may be generators, even one
+    shared: only the chosen format reads them."""
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
