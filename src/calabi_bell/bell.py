@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
-from .rationals import InputError, Rational, _at_least, _dot, _exact, factorial
+from .rationals import InputError, Rational, _at_least, _dot, _exact
 
 __all__ = [
     "BellConsistencyError",

@@ -15,13 +15,13 @@ printed as ``p/q``.
 One parser serves a process: built on the first ``main`` call, never at
 import. ``main`` finds ``_cmd_<subcommand>`` by name on each call.
 
-The handlers check only the CLI's own rules, ``RMAX_CEILING`` and
-"``--order`` unless ``--eval``"; every rule on a value belongs to the
-library, which raises ``rationals.InputError`` before any work. Exit
-codes: 0 success, 1 usage error (bad flags, malformed rationals, an
-``InputError``), 2 internal consistency failure (the cross-checking
-machinery caught a disagreement; worth a bug report). Any other
-exception is a fault and propagates.
+The handlers check only the CLI's own rules, ``RMAX_CEILING``,
+``ORDER_CEILING`` and "``--order`` unless ``--eval``"; every rule on a
+value belongs to the library, which raises ``rationals.InputError``
+before any work. Exit codes: 0 success, 1 usage error (bad flags,
+malformed rationals, an ``InputError``), 2 internal consistency failure
+(the cross-checking machinery caught a disagreement; worth a bug
+report). Any other exception is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -54,9 +54,11 @@ __all__ = ["main", "build_parser"]
 
 FORMATS = ("table", "json", "csv")
 
-# Work ceiling, checked before any work starts: the largest r that
-# ``scan --rmax``, ``hr --r/--rmax`` and ``blocks --rmax`` accept.
+# Work ceilings, checked before any work starts: the largest r that
+# ``scan --rmax``, ``hr --r/--rmax`` and ``blocks --rmax`` accept, and the
+# largest ``useries --order`` (about 3 s for both routes at n = 2).
 RMAX_CEILING = 1000
+ORDER_CEILING = 2000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,9 +83,11 @@ def _rational_list_arg(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational_arg(piece) for piece in pieces)
 
 
-def _check_rmax(value: int, name: str) -> None:
-    if value > RMAX_CEILING:
-        raise InputError(f"{name} {value} is above the work ceiling RMAX_CEILING = {RMAX_CEILING}")
+def _check_ceiling(value: int, name: str, ceiling: str = "RMAX_CEILING") -> None:
+    """Refuse ``value`` above the module constant named ``ceiling``."""
+    limit = globals()[ceiling]
+    if value > limit:
+        raise InputError(f"{name} {value} is above the work ceiling {ceiling} = {limit}")
 
 
 def _emit(fmt: str, payload, columns: list[str], rows: Iterable, table: Iterable[str]) -> int:
@@ -152,6 +156,7 @@ def _cmd_useries(args) -> int:
         return _useries_eval(params, args)
     if args.order is None:
         raise InputError("--order is required unless --eval is given")
+    _check_ceiling(args.order, "--order", "ORDER_CEILING")
     route = {"closed": u_coeffs_closed, "ode": u_coeffs_ode, "both": u_coeffs}[args.method]
     seq = route(params, args.order)
     rendered = [format_rational(v) for v in seq.values]
@@ -190,11 +195,10 @@ def _useries_eval(params: CalabiParams, args) -> int:
 def _cmd_hr(args) -> int:
     params = CalabiParams(args.n, args.k0, args.c)
     r_max = args.r if args.r is not None else args.rmax
-    _check_rmax(r_max, "--r/--rmax")
+    _check_ceiling(r_max, "--r/--rmax")
     values = h_values(params, args.m, r_max)
-    if args.r is not None:
-        values = values[-1:]
-    hs = [{"r": item.r, "h": format_rational(item.value)} for item in values]
+    indexed = [(r_max, values[-1])] if args.r is not None else enumerate(values, 1)
+    hs = [{"r": r, "h": format_rational(h)} for r, h in indexed]
     payload = {**_params_payload(params), "m": format_rational(args.m), "values": hs}
     rows = ([h["r"], h["h"]] for h in hs)
     table = (h["h"] for h in hs) if args.r is not None else _tab(["r", "h"], rows)
@@ -216,7 +220,7 @@ def _scan_table(scans: list[dict]) -> Iterator[str]:
 
 
 def _cmd_scan(args) -> int:
-    _check_rmax(args.rmax, "--rmax")
+    _check_ceiling(args.rmax, "--rmax")
     if args.grid is not None:
         scans = [report.to_dict() for report in scan_grid(args.n, list(args.grid), args.rmax)]
         rows = ([scan["q"], row["r"], row["S"]] for scan in scans for row in scan["rows"])
@@ -230,7 +234,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    _check_rmax(args.rmax, "--rmax")
+    _check_ceiling(args.rmax, "--rmax")
     base = FubiniStudyBase(args.d, args.multiple)
     payload = eh_block_scan(base, args.c, args.rmax, args.cutoff).to_dict()
     columns = ["r", "exponent", "scale", "verdict"]

@@ -17,12 +17,12 @@ and builds no matrix; ``fs_coeff_matrix`` builds a block's matrix on request.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .inequality import min_negative_r
 from .potential import CalabiParams, _scaled
 from .rationals import (
-    InputError, Rational, _at_least, _exact, _Record, factorial, format_rational,
-    generalized_binomial,
+    InputError, Rational, _at_least, _exact, _Record, format_rational, generalized_binomial,
 )
 
 __all__ = [
@@ -190,7 +190,6 @@ class BlockMatrix(_Record):
     matrix of (1 + |z|^2)^exponent - 1 (``fs_coeff_matrix``)."""
 
     r: int
-    m: int
     scale: Fraction
     exponent: Fraction
     verdict: str
@@ -265,7 +264,7 @@ def eh_block_scan(
         scan = min_negative_r(params.n, 1 / params.k0, r_max).rows if r_max >= 1 else ()
         scales = [Fraction(1), *_scaled(params, [s for _, s in scan])]
         blocks = tuple(
-            BlockMatrix(r, 1, scale, base.exponent_for(r, 1), PSD if scale >= 0 else NOT_PSD)
+            BlockMatrix(r, scale, base.exponent_for(r, 1), PSD if scale >= 0 else NOT_PSD)
             for r, scale in enumerate(scales)
         )
     return BlockScanReport(

@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import mul
 
 from .inequality import _recheck, _s_rows
-from .rationals import InputError, Rational, _at_least, _exact, _positive, _Record, factorial
+from .rationals import InputError, Rational, _at_least, _exact, _positive, _Record
 from .series import TruncatedSeries
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "u_coeffs",
     "taylor_series",
     "condition_series_residual",
-    "HrValue",
     "h_values",
     "ConditionReport",
     "ClosedFormEvaluator",
@@ -91,28 +90,12 @@ class CalabiParams(_Record):
 
 
 class CoefficientSequence(_Record):
-    """Exact derivatives a_j = u^(j)(0) for j = 1..order."""
+    """Exact derivatives a_j = u^(j)(0): ``values[j - 1]`` is a_j."""
 
-    params: CalabiParams
     values: tuple[Fraction, ...]
-    method: str
-
-    _METHODS = ("closed-form", "ode", "cross-checked")
 
     def __post_init__(self) -> None:
-        if self.method not in self._METHODS:
-            raise InputError(f"unknown method tag {self.method!r}")
         object.__setattr__(self, "values", tuple(_exact(v, "a_j") for v in self.values))
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def a(self, j: int) -> Fraction:
-        """The j-th derivative at 0, 1-based."""
-        if not 1 <= j <= self.order:
-            raise IndexError(f"derivative index {j} outside 1..{self.order}")
-        return self.values[j - 1]
 
 
 def u_coeffs_closed(params: CalabiParams, order: int) -> CoefficientSequence:
@@ -130,7 +113,7 @@ def u_coeffs_closed(params: CalabiParams, order: int) -> CoefficientSequence:
         values.append(Fraction(num, den * j))
         num *= -cn * kn * (params.n * j - 1)
         den *= cd * kd
-    return CoefficientSequence(params, tuple(values), "closed-form")
+    return CoefficientSequence(tuple(values))
 
 
 def u_coeffs_ode(params: CalabiParams, order: int) -> CoefficientSequence:
@@ -166,7 +149,7 @@ def u_coeffs_ode(params: CalabiParams, order: int) -> CoefficientSequence:
         values.append(Fraction(num * big[j], den))
         num *= step.numerator * j
         den *= step.denominator * n
-    return CoefficientSequence(params, tuple(values), "ode")
+    return CoefficientSequence(tuple(values))
 
 
 def u_coeffs(params: CalabiParams, order: int) -> CoefficientSequence:
@@ -177,19 +160,18 @@ def u_coeffs(params: CalabiParams, order: int) -> CoefficientSequence:
     """
     closed = u_coeffs_closed(params, order)
     ode = u_coeffs_ode(params, order)
-    if closed.values != ode.values:
-        j = next(j for j in range(1, order + 1) if closed.a(j) != ode.a(j))
-        raise CoefficientMethodMismatch(
-            f"coefficient routes disagree at j={j} for n={params.n}, "
-            f"k0={params.k0}, c={params.c}: "
-            f"closed-form {closed.a(j)} vs forward substitution {ode.a(j)}"
-        )
-    return CoefficientSequence(params, ode.values, "cross-checked")
+    for j, (a, b) in enumerate(zip(closed.values, ode.values), 1):
+        if a != b:
+            raise CoefficientMethodMismatch(
+                f"coefficient routes disagree at j={j} for n={params.n}, "
+                f"k0={params.k0}, c={params.c}: closed-form {a} vs forward substitution {b}"
+            )
+    return ode
 
 
 def taylor_series(coeffs: CoefficientSequence) -> TruncatedSeries:
     """u as an exact truncated series: constant term 0, [x^j] = a_j / j!."""
-    terms = [Fraction(0)] + [coeffs.a(j) / factorial(j) for j in range(1, coeffs.order + 1)]
+    terms = [Fraction(0)] + [a / math.factorial(j) for j, a in enumerate(coeffs.values, 1)]
     return TruncatedSeries(tuple(terms))
 
 
@@ -204,7 +186,7 @@ def condition_series_residual(params: CalabiParams, order: int) -> TruncatedSeri
     """
     depth = _at_least(order, 1, "order") + 1
     seq = u_coeffs_ode(params, depth + 1)
-    u_prime = TruncatedSeries(tuple(seq.values[k] / factorial(k) for k in range(depth + 1)))
+    u_prime = TruncatedSeries(tuple(seq.values[k] / math.factorial(k) for k in range(depth + 1)))
     u_second = u_prime.derivative()
     # x * s at the order of s is the shift (0, s_0, ..., s_{order-1}).
     horizontal = 1 + params.k0 * TruncatedSeries((Fraction(0), *u_prime.coeffs[:-1]))
@@ -212,15 +194,7 @@ def condition_series_residual(params: CalabiParams, order: int) -> TruncatedSeri
     return horizontal.pow_int(params.n - 1) * fiber - params.c
 
 
-class HrValue(_Record):
-    """One block-scale constant: h_r at twist multiple m."""
-
-    r: int
-    m: Fraction
-    value: Fraction
-
-
-def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[HrValue, ...]:
+def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[Fraction, ...]:
     """h_r = (c k0)^r / r! S(n, m/k0, r) for r = 1..r_max, in O(n r_max)
     big-integer products, or O(r_max^2) when n is large against r_max.
 
@@ -234,7 +208,7 @@ def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[HrVal
     q = m / params.k0
     rows = list(_s_rows(params.n, q, r_max))
     _recheck(params.n, q, r_max, rows[-1])
-    return tuple(HrValue(r, m, h) for r, h in enumerate(_scaled(params, rows), 1))
+    return tuple(_scaled(params, rows))
 
 
 def _scaled(params: CalabiParams, rows: list[Fraction]) -> list[Fraction]:
@@ -255,7 +229,6 @@ class ConditionReport(_Record):
     imaginary_residue = largest |Im| left over by the complex closed form
     """
 
-    x: float
     horizontal_factor: float
     fiber_factor: float
     ode_residual: float
@@ -273,6 +246,9 @@ def _double(value: Fraction, what: str) -> float:
         raise InputError(f"{what} {'overflows' if result else 'underflows'} a double")
     return result
 
+
+# Largest imaginary residue ``ClosedFormEvaluator`` lets a value carry.
+IMAG_TOL = 1e-10
 
 # Work ceiling of ``ClosedFormEvaluator``, the largest n it accepts: it
 # builds n - 1 roots of unity and every value loops over them, so its
@@ -292,19 +268,17 @@ class ClosedFormEvaluator:
     For x >= 0 the root t is real >= 1 and every log argument stays in
     the half plane Re > 0, so principal branches are safe and the
     imaginary parts cancel in conjugate pairs. The leftover imaginary
-    residue is checked against ``imag_tol`` on every call; exceeding it
+    residue is checked against ``IMAG_TOL`` on every call; exceeding it
     means a branch was crossed and raises ``BranchResidueError`` instead
     of returning a silently wrong value. Out-of-range input raises
     ``InputError`` (README "Design notes", "The numeric layer is guarded").
     """
 
-    def __init__(self, params: CalabiParams, imag_tol: float = 1e-10):
+    def __init__(self, params: CalabiParams):
         if params.n > EVAL_N_CEILING:
             raise InputError(
                 f"n {params.n} is above the work ceiling EVAL_N_CEILING = {EVAL_N_CEILING}"
             )
-        self.params = params
-        self.imag_tol = float(imag_tol)
         self._n = params.n
         self._k0 = _double(params.k0, "k0")
         self._c = _double(params.c, "c")
@@ -326,10 +300,10 @@ class ClosedFormEvaluator:
         if not math.isfinite(value.real):
             raise InputError(f"{what} is not a finite double at x={x}")
         residue = abs(value.imag)
-        if not residue <= self.imag_tol:  # a NaN residue fails too
+        if not residue <= IMAG_TOL:  # a NaN residue fails too
             raise BranchResidueError(
                 f"imaginary residue {residue:.3e} in {what} at x={x} "
-                f"exceeds tolerance {self.imag_tol:.1e}"
+                f"exceeds tolerance {IMAG_TOL:.1e}"
             )
         return value.real, residue
 
@@ -370,15 +344,15 @@ class ClosedFormEvaluator:
         horizontal = 1.0 + self._k0 * x * u1
         fiber = u1 + x * u2
         residual = (horizontal ** (self._n - 1) * fiber - self._c) / self._c
-        return ConditionReport(x, horizontal, fiber, residual, residue)
+        return ConditionReport(horizontal, fiber, residual, residue)
 
-    def derivative_fd(self, x: float, step: float | None = None) -> float:
+    def derivative_fd(self, x: float) -> float:
         """u'(x) by finite differences, independent of the formulas above.
 
-        Central 2-point with h = 1e-5 (1 + x) by default; second-order
-        one-sided at the left endpoint where x - h would leave the domain.
+        Central 2-point with h = 1e-5 (1 + x); second-order one-sided at
+        the left endpoint where x - h would leave the domain.
         """
-        h = step if step is not None else 1e-5 * (1.0 + x)
+        h = 1e-5 * (1.0 + x)
         if x - h >= 0:
             return (self.u(x + h) - self.u(x - h)) / (2 * h)
         return (-3 * self.u(x) + 4 * self.u(x + h) - self.u(x + 2 * h)) / (2 * h)

@@ -19,8 +19,8 @@ What this module adds is the thin contract layer the rest of the package
 * strict ``"p/q"`` parsing and rendering (the textual form used in JSON
   and CSV output; decimal strings are rejected so nothing silently goes
   through floating point),
-* ``factorial`` (``math.factorial`` itself) and generalized binomial
-  coefficients with rational upper argument (non-integer diastasis exponents),
+* generalized binomial coefficients with rational upper argument
+  (non-integer diastasis exponents),
 * ``_dot``, the exact sum of products of the two Bell recurrences (the
   series layer keeps its operands as ints over a common denominator),
 * ``_Record``, the base of the package's immutable value classes.
@@ -39,7 +39,6 @@ __all__ = [
     "Rational",
     "parse_rational",
     "format_rational",
-    "factorial",
     "generalized_binomial",
 ]
 

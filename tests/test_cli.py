@@ -15,7 +15,7 @@ import pytest
 import calabi_bell.cli as cli_mod
 import calabi_bell.inequality as inequality_mod
 import calabi_bell.potential as potential_mod
-from calabi_bell.cli import RMAX_CEILING, build_parser, main
+from calabi_bell.cli import ORDER_CEILING, RMAX_CEILING, build_parser, main
 from calabi_bell.inequality import min_negative_r
 from calabi_bell.potential import EVAL_N_CEILING, CoefficientSequence
 
@@ -254,6 +254,27 @@ class TestHr:
         assert payload["m"] == "1/2"
         assert payload["values"] == [{"r": 2, "h": "-1/8"}]
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("k", [1, 5, 17])
+    def test_single_r_is_the_last_of_rmax(self, capsys, k, fmt):
+        common = ("hr", "--n", "3", "--k0", "7/3", "--c", "5/2", "--m", "3/2", "--format", fmt)
+        code, single, _ = run_cli(capsys, *common, "--r", str(k))
+        assert code == 0
+        code, full, _ = run_cli(capsys, *common, "--rmax", str(k))
+        assert code == 0
+        if fmt == "json":
+            single, full = json.loads(single), json.loads(full)
+            assert single["values"] == full["values"][-1:]
+            assert single["values"][0]["r"] == k
+            assert {**single, "values": None} == {**full, "values": None}
+        elif fmt == "csv":
+            header, *rows = full.splitlines()
+            assert single.splitlines() == [header, rows[-1]]
+            assert rows[-1].startswith(f"{k},")
+        else:
+            assert single == full.splitlines()[-1].split("\t")[1] + "\n"
+            assert full.splitlines()[-1].startswith(f"{k}\t")
+
     def test_r_and_rmax_conflict(self, capsys):
         code, _, err = run_cli(
             capsys, "hr", "--n", "2", "--k0", "2", "--c", "1", "--m", "1", "--r", "2", "--rmax", "4"
@@ -269,7 +290,7 @@ class TestCoefficientMismatch:
         def corrupted(params, order):
             good = real(params, order)
             values = good.values[:-1] + (good.values[-1] + 1,)
-            return CoefficientSequence(params, values, "closed-form")
+            return CoefficientSequence(values)
 
         monkeypatch.setattr(potential_mod, "u_coeffs_closed", corrupted)
 
@@ -487,7 +508,10 @@ class TestWorkCeilings:
 
         monkeypatch.setattr(inequality_mod, "_s_rows", refuse)
         monkeypatch.setattr(potential_mod.cmath, "exp", refuse)  # the evaluator's roots
-        for name in ("min_negative_r", "scan_grid", "h_values", "FubiniStudyBase", "eh_block_scan"):
+        for name in (
+            "min_negative_r", "scan_grid", "h_values", "FubiniStudyBase", "eh_block_scan",
+            "u_coeffs", "u_coeffs_closed", "u_coeffs_ode",
+        ):
             monkeypatch.setattr(cli_mod, name, refuse)
 
     @pytest.mark.parametrize(
@@ -511,6 +535,24 @@ class TestWorkCeilings:
         # that the run would start.
         with pytest.raises(AssertionError, match="work started"):
             main(["scan", "--n", "2", "--q", "3", "--rmax", str(RMAX_CEILING)])
+
+    @pytest.mark.parametrize("method", ["closed", "ode", "both"])
+    def test_order_above_ceiling(self, capsys, method):
+        argv = ["useries", "--n", "2", "--k0", "2", "--c", "1", "--method", method, "--order"]
+        code, out, err = run_cli(capsys, *argv, str(ORDER_CEILING + 1))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: --order {ORDER_CEILING + 1} is above the work ceiling"
+            f" ORDER_CEILING = {ORDER_CEILING}\n"
+        )
+        with pytest.raises(AssertionError, match="work started"):
+            main([*argv, str(ORDER_CEILING)])
+
+    def test_order_ceiling_admits_the_digit_limit_case(self):
+        # The benchmark self-test's known-failing job runs useries at order
+        # 1500 to reach CPython's int-to-str digit limit; it must stay
+        # below the ceiling until exact rendering lands.
+        assert ORDER_CEILING >= 1500
 
     def test_eval_n_above_ceiling(self, capsys):
         argv = ["useries", "--n", str(EVAL_N_CEILING + 1), "--k0", "1", "--c", "1", "--eval", "1"]

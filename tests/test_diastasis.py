@@ -228,7 +228,7 @@ class TestBlockScan:
         base = FubiniStudyBase(1, 2)
         report = eh_block_scan(base, Fraction(1, 2), 10)
         params = CalabiParams(2, base.k0, Fraction(1, 2))
-        expected = {item.r: item.value for item in h_values(params, 1, 10)}
+        expected = dict(enumerate(h_values(params, 1, 10), 1))
         for block in report.blocks:
             if block.r == 0:
                 assert block.scale == 1
@@ -240,7 +240,7 @@ class TestBlockScan:
         """The scan builds no matrix; each block's exponent and verdict must
         agree with the base matrix that ``fs_coeff_matrix`` builds."""
         for block in report.blocks:
-            matrix = fs_coeff_matrix(base, block.r, block.m, report.cutoff)
+            matrix = fs_coeff_matrix(base, block.r, 1, report.cutoff)
             assert matrix.exponent == block.exponent
             assert all(e >= 0 for e in matrix.entries)
             scaled = [block.scale * e for e in matrix.entries]

@@ -69,9 +69,10 @@ class TestNormalizedSequence:
         from calabi_bell.potential import u_coeffs_closed
 
         p = CalabiParams(3, Fraction(5, 2), Fraction(2, 3))
-        seq = u_coeffs_closed(p, 10)
-        for l in range(1, 11):
-            assert seq.a(l) == Fraction(-1) / p.k0 * (-p.c * p.k0) ** l * normalized_term(p.n, l)
+        values = u_coeffs_closed(p, 10).values
+        assert len(values) == 10
+        for l, a_l in enumerate(values, 1):
+            assert a_l == Fraction(-1) / p.k0 * (-p.c * p.k0) ** l * normalized_term(p.n, l)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -102,7 +103,7 @@ class TestAlternatingSum:
             m = Fraction(rng.randint(1, 6), rng.randint(1, 3))
             r = rng.randint(1, 16)
             p = CalabiParams(n, k0, c)
-            h_val = h_values(p, m, r)[-1].value
+            h_val = h_values(p, m, r)[-1]
             s_val = alternating_bell_sum(n, m / k0, r)
             assert h_val * factorial(r) == (c * k0) ** r * s_val
 
@@ -114,7 +115,7 @@ class TestAlternatingSum:
             c = Fraction(rng.randint(1, 4), rng.randint(1, 3))
             m = Fraction(rng.randint(1, 5))
             r = rng.randint(1, 12)
-            h_val = h_values(CalabiParams(n, k0, c), m, r)[-1].value
+            h_val = h_values(CalabiParams(n, k0, c), m, r)[-1]
             s_val = alternating_bell_sum(n, m / k0, r)
             assert (h_val > 0) == (s_val > 0)
             assert (h_val == 0) == (s_val == 0)

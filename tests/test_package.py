@@ -27,7 +27,6 @@ from calabi_bell import (
     CoefficientSequence,
     ConditionReport,
     FubiniStudyBase,
-    HrValue,
     ScanReport,
     TruncatedSeries,
     alternating_bell_sum,
@@ -129,7 +128,7 @@ FLOAT_INPUTS = {
     "generalized_binomial": lambda: generalized_binomial(0.5, 2),
     "CalabiParams.k0": lambda: CalabiParams(2, 2.0, 1),
     "CalabiParams.c": lambda: CalabiParams(2, 2, 1.0),
-    "CoefficientSequence.values": lambda: CoefficientSequence(PARAMS, (1, 0.5), "ode"),
+    "CoefficientSequence.values": lambda: CoefficientSequence((1, 0.5)),
     "h_values.m": lambda: h_values(PARAMS, 1.0, 3),
     "alternating_bell_sum": lambda: alternating_bell_sum(2, 0.5, 3),
     "min_negative_r": lambda: min_negative_r(2, 0.5, 5),
@@ -202,14 +201,8 @@ def test_strings_read_like_cli_flags():
 RECORDS = {
     TruncatedSeries: {"coeffs": (Fraction(1), Fraction(2, 3))},
     CalabiParams: {"n": 2, "k0": Fraction(2), "c": Fraction(1, 3)},
-    CoefficientSequence: {
-        "params": PARAMS,
-        "values": (Fraction(1), Fraction(-4)),
-        "method": "ode",
-    },
-    HrValue: {"r": 2, "m": Fraction(1), "value": Fraction(-1, 2)},
+    CoefficientSequence: {"values": (Fraction(1), Fraction(-4))},
     ConditionReport: {
-        "x": 1.0,
         "horizontal_factor": 2.0,
         "fiber_factor": 0.5,
         "ode_residual": 0.0,
@@ -232,7 +225,6 @@ RECORDS = {
     },
     BlockMatrix: {
         "r": 2,
-        "m": 1,
         "scale": Fraction(-1, 2),
         "exponent": Fraction(5),
         "verdict": "not-PSD",
@@ -246,7 +238,7 @@ RECORDS = {
         "cutoff": 6,
         "integrality_failure": False,
         "failure_reason": None,
-        "blocks": (BlockMatrix(0, 1, Fraction(1), Fraction(2), "PSD"),),
+        "blocks": (BlockMatrix(0, Fraction(1), Fraction(2), "PSD"),),
         "first_negative_r": 2,
     },
 }
@@ -290,7 +282,7 @@ def test_value_class_repr(cls, fields):
 
 def test_value_classes_differ_field_by_field():
     assert CalabiParams(2, 2, 1) != CalabiParams(2, 2, 2)
-    assert HrValue(1, 1, 1) != HrValue(2, 1, 1)
+    assert BlockMatrix(1, 1, 2, "PSD") != BlockMatrix(2, 1, 2, "PSD")
     assert FubiniStudyBase(1, 1) != FubiniStudyBase(1, 2)
     assert TruncatedSeries((1, 0)) != TruncatedSeries((1,))
     assert len({CalabiParams(2, 2, 1), CalabiParams(2, "2", "1"), CalabiParams(3, 2, 1)}) == 2
@@ -298,7 +290,7 @@ def test_value_classes_differ_field_by_field():
 
 def test_value_classes_normalize_their_fields():
     assert type(CalabiParams(2, 2, True).c) is Fraction
-    assert CoefficientSequence(PARAMS, [1, "1/2"], "ode").values == (1, Fraction(1, 2))
+    assert CoefficientSequence([1, "1/2"]).values == (1, Fraction(1, 2))
     assert TruncatedSeries(coeffs=[1, "1/2"]).coeffs == (1, Fraction(1, 2))
     assert all(type(c) is Fraction for c in TruncatedSeries((1, 2)).coeffs)
 
@@ -309,7 +301,6 @@ INVALID_RECORDS = {
     "CalabiParams n not int": lambda: CalabiParams(Fraction(2), 2, 1),
     "CalabiParams k0=0": lambda: CalabiParams(2, 0, 1),
     "CalabiParams c<0": lambda: CalabiParams(n=2, k0=2, c=-1),
-    "CoefficientSequence method": lambda: CoefficientSequence(PARAMS, (1,), "guess"),
     "FubiniStudyBase d=0": lambda: FubiniStudyBase(0, 1),
     "FubiniStudyBase multiple=0": lambda: FubiniStudyBase(d=1, multiple=0),
 }
@@ -339,7 +330,6 @@ BAD_VALUES = {
     "exp_of": lambda: series.exp_of(SERIES),
     "CalabiParams n=1": lambda: CalabiParams(1, 2, 1),
     "CalabiParams c=0": lambda: CalabiParams(2, 2, 0),
-    "CoefficientSequence method": lambda: CoefficientSequence(PARAMS, (1,), "guess"),
     "u_coeffs order=0": lambda: potential.u_coeffs(PARAMS, 0),
     "condition_series_residual order=0": lambda: potential.condition_series_residual(PARAMS, 0),
     "h_values m=0": lambda: h_values(PARAMS, 0, 3),
@@ -401,14 +391,48 @@ def test_cli_import_loads_no_dataclasses_chain():
 # evaluator's n ceiling and the shared CLI parser; the budget was set there
 # with a 9-line margin. It is 1,778 with the series layer's running common
 # denominator, paid for in part by deleting code that earned nothing, and
-# 1,774 with the scan kernels on the scale b^m gcd(n^m, m!).
-SOURCE_LINE_BUDGET = 1780
+# 1,774 with the scan kernels on the scale b^m gcd(n^m, m!). It was 1,777
+# before the potential layer dropped the record fields and evaluator
+# arguments no caller read, and 1,753 after, with the useries --order
+# ceiling; both budgets sit just above the counts there.
+SOURCE_LINE_BUDGET = 1756
+# Lines that are neither blank, comment-only nor inside a docstring: 1,035
+# before that change and 1,015 after. Docstring lines cost the budget above
+# but next to nothing in compile time (ROADMAP, setup_s), so code has its own.
+CODE_LINE_BUDGET = 1018
+
+
+def _code_lines(text: str) -> int:
+    """The lines of ``text`` that are not blank, not comment-only and not
+    inside a module, class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = enumerate(text.splitlines(), 1)
+    return sum(1 for i, line in lines if line.strip()[:1] not in ("", "#") and i not in docstrings)
 
 
 def test_source_stays_under_budget():
     paths = (ROOT / "src" / "calabi_bell").glob("*.py")
     total = sum(len(path.read_text().splitlines()) for path in paths)
     assert total < SOURCE_LINE_BUDGET, f"src/calabi_bell has {total} lines"
+
+
+def test_code_stays_under_budget():
+    paths = (ROOT / "src" / "calabi_bell").glob("*.py")
+    total = sum(_code_lines(path.read_text()) for path in paths)
+    assert total < CODE_LINE_BUDGET, f"src/calabi_bell has {total} lines of code"
+
+
+def test_code_line_count_skips_docstrings_and_comments():
+    sample = (
+        '"""Module\ndocstring."""\n\nimport math  # kept\n\n\nclass A:\n    """One line."""\n\n'
+        '    # a comment\n    def f(self):\n        """Two\n        lines."""\n'
+        '        text = """not a\n        docstring"""\n        return text\n'
+    )
+    assert _code_lines(sample) == 6  # import, class, def, both lines of text =, return
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)

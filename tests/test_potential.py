@@ -100,31 +100,26 @@ class TestCoefficients:
         seq = u_coeffs(CalabiParams(2, 2, 1), 5)
         assert seq.values == (1, -1, 4, -30, 336)
 
-    def test_routes_tagged(self):
-        p = CalabiParams(3, 2, 1)
-        assert u_coeffs_closed(p, 3).method == "closed-form"
-        assert u_coeffs_ode(p, 3).method == "ode"
-        assert u_coeffs(p, 3).method == "cross-checked"
-
     def test_a1_is_c_and_a2_formula(self):
         rng = random.Random(21)
         for _ in range(25):
             n = rng.randint(2, 6)
             k0 = Fraction(rng.randint(1, 8), rng.randint(1, 4))
             c = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-            seq = u_coeffs_closed(CalabiParams(n, k0, c), 2)
-            assert seq.a(1) == c
-            assert seq.a(2) == -(n - 1) * k0 * c**2 / 2
+            a1, a2 = u_coeffs_closed(CalabiParams(n, k0, c), 2).values
+            assert a1 == c
+            assert a2 == -(n - 1) * k0 * c**2 / 2
 
     def test_product_formula_elementwise(self):
         p = CalabiParams(3, Fraction(5, 2), Fraction(2, 7))
         seq = u_coeffs_closed(p, 9)
-        for j in range(1, 10):
+        assert len(seq.values) == 9
+        for j, a_j in enumerate(seq.values, 1):
             prod = 1
             for s in range(1, j):
                 prod *= p.n * s - 1
             expected = Fraction((-1) ** (j + 1), j) * p.c**j * p.k0 ** (j - 1) * prod
-            assert seq.a(j) == expected
+            assert a_j == expected
 
     @pytest.mark.parametrize(
         "n, k0, c",
@@ -145,9 +140,10 @@ class TestCoefficients:
     def test_signs_alternate_strictly(self):
         for p in GRID:
             seq = u_coeffs_closed(p, 20)
-            for j in range(1, 21):
-                assert seq.a(j) != 0
-                assert (seq.a(j) > 0) == (j % 2 == 1)
+            assert len(seq.values) == 20
+            for j, a_j in enumerate(seq.values, 1):
+                assert a_j != 0
+                assert (a_j > 0) == (j % 2 == 1)
 
     def test_routes_agree_to_order_64(self):
         for p in GRID:
@@ -202,18 +198,30 @@ class TestCoefficients:
     def test_mismatch_is_a_hard_error(self, monkeypatch):
         p = CalabiParams(2, 2, 1)
         good = u_coeffs_closed(p, 4)
-        corrupted = CoefficientSequence(p, good.values[:3] + (Fraction(1),), "closed-form")
+        corrupted = CoefficientSequence(good.values[:3] + (Fraction(1),))
         monkeypatch.setattr(potential_mod, "u_coeffs_closed", lambda *a: corrupted)
         with pytest.raises(CoefficientMethodMismatch, match="j=4"):
             u_coeffs(p, 4)
 
-    def test_sequence_accessor_bounds(self):
-        seq = u_coeffs_closed(CalabiParams(2, 2, 1), 4)
-        assert seq.order == 4
-        with pytest.raises(IndexError):
-            seq.a(0)
-        with pytest.raises(IndexError):
-            seq.a(5)
+    def test_mismatch_names_the_first_bad_index(self, monkeypatch):
+        # Two corrupted entries: the message names the lower index and
+        # both values there, never the later one.
+        p = CalabiParams(3, 2, 1)
+        good = u_coeffs_closed(p, 8).values
+        bad = list(good)
+        bad[2], bad[5] = good[2] + 1, good[5] - 1
+        corrupted = CoefficientSequence(bad)
+        monkeypatch.setattr(potential_mod, "u_coeffs_closed", lambda *a: corrupted)
+        with pytest.raises(CoefficientMethodMismatch) as caught:
+            u_coeffs(p, 8)
+        assert str(caught.value) == (
+            f"coefficient routes disagree at j=3 for n=3, k0=2, c=1: "
+            f"closed-form {good[2] + 1} vs forward substitution {good[2]}"
+        )
+
+    def test_cross_checked_sequence_equals_each_route(self):
+        p = CalabiParams(3, Fraction(7, 3), Fraction(5, 2))
+        assert u_coeffs(p, 30) == u_coeffs_ode(p, 30) == u_coeffs_closed(p, 30)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -264,8 +272,9 @@ class TestConditionSeries:
 
 class TestBlockConstants:
     def test_frozen_quadruple(self):
-        values = [item.value for item in h_values(CalabiParams(2, 2, 1), 1, 4)]
-        assert values == [1, 0, Fraction(1, 3), Fraction(-2, 3)]
+        values = h_values(CalabiParams(2, 2, 1), 1, 4)
+        assert values == (1, 0, Fraction(1, 3), Fraction(-2, 3))
+        assert all(type(h) is Fraction for h in values)
 
     def test_h1_is_mc(self):
         rng = random.Random(22)
@@ -274,7 +283,7 @@ class TestBlockConstants:
             k0 = Fraction(rng.randint(1, 6))
             c = Fraction(rng.randint(1, 6), rng.randint(1, 4))
             m = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-            assert h_values(CalabiParams(n, k0, c), m, 1)[-1].value == m * c
+            assert h_values(CalabiParams(n, k0, c), m, 1) == (m * c,)
 
     def test_h2_formula_at_m(self):
         # h_2 = (c^2 m / 2)(m - (n-1) k0 / 2), from a_2 + m a_1^2 over 2.
@@ -285,13 +294,14 @@ class TestBlockConstants:
             c = Fraction(rng.randint(1, 6), rng.randint(1, 4))
             m = Fraction(rng.randint(1, 6), rng.randint(1, 4))
             expected = c**2 * m / 2 * (m - Fraction(n - 1) * k0 / 2)
-            assert h_values(CalabiParams(n, k0, c), m, 2)[-1].value == expected
+            assert h_values(CalabiParams(n, k0, c), m, 2)[-1] == expected
 
     def test_h_values_match_single_calls(self):
         p = CalabiParams(3, 4, Fraction(1, 2))
         batch = h_values(p, Fraction(3, 2), 6)
-        for item in batch:
-            assert h_values(p, Fraction(3, 2), item.r)[-1] == item
+        assert len(batch) == 6
+        for r, h in enumerate(batch, 1):
+            assert h_values(p, Fraction(3, 2), r) == batch[:r]
 
     def test_h_matches_exp_expansion(self):
         # h_r is the r-th Taylor coefficient of e^{m u} - 1, through r = 120,
@@ -306,8 +316,7 @@ class TestBlockConstants:
         ]
         for p, m in cases:
             series = exp_of(m * taylor_series(u_coeffs_closed(p, 120)))
-            values = h_values(p, m, 120)
-            assert [item.value for item in values] == list(series.coeffs[1:]), (p, m)
+            assert h_values(p, m, 120) == series.coeffs[1:], (p, m)
 
     def test_h_matches_bell_sum(self):
         # h_r = (1/r!) sum_j m^j B_{r,j}(a_1..a_r), read from a Bell table.
@@ -318,9 +327,9 @@ class TestBlockConstants:
         ]
         for p, m in cases:
             table = BellTable(u_coeffs_closed(p, 30).values)
-            for item in h_values(p, m, 30):
-                bell_sum = sum(m**j * table.value(item.r, j) for j in range(1, item.r + 1))
-                assert item.value == bell_sum / math.factorial(item.r)
+            for r, h in enumerate(h_values(p, m, 30), 1):
+                bell_sum = sum(m**j * table.value(r, j) for j in range(1, r + 1))
+                assert h == bell_sum / math.factorial(r)
 
     def test_validation(self):
         p = CalabiParams(2, 2, 1)
@@ -381,10 +390,8 @@ class TestEvaluator:
         for p in CRITERION_PARAMS:
             ev = ClosedFormEvaluator(p)
             seq = u_coeffs(p, 11)
-            degree10 = taylor_series(
-                CoefficientSequence(p, seq.values[:10], seq.method)
-            )
-            tail_coeff = abs(seq.a(11)) / math.factorial(11)
+            degree10 = taylor_series(CoefficientSequence(seq.values[:10]))
+            tail_coeff = abs(seq.values[10]) / math.factorial(11)
             for i in range(21):
                 x = Fraction(i, 200)  # uniform through 1/10 exactly
                 bound = float(tail_coeff * x**11)
@@ -447,20 +454,19 @@ class TestEvaluator:
         with pytest.raises(BranchResidueError):
             ev._guard(complex(1.0, math.nan), 1.0, "u")
 
-    def test_branch_guard_trips_on_tiny_tolerance(self):
+    def test_branch_guard_trips_on_tiny_tolerance(self, monkeypatch):
         p = CalabiParams(3, 2, 1)
         residues = [
             ClosedFormEvaluator(p).u_with_residue(x)[1] for x in (0.5, 1.0, 2.0, 3.0)
         ]
         assert any(res > 0 for res in residues)
         x_hot = [x for x, res in zip((0.5, 1.0, 2.0, 3.0), residues) if res > 0][0]
-        strict = ClosedFormEvaluator(p, imag_tol=0.0)
-        with pytest.raises(BranchResidueError):
-            strict.u(x_hot)
+        monkeypatch.setattr(potential_mod, "IMAG_TOL", 0.0)
+        with pytest.raises(BranchResidueError, match="exceeds tolerance 0.0e"):
+            ClosedFormEvaluator(p).u(x_hot)
 
     def test_condition_report_fields(self):
         report = ClosedFormEvaluator(CalabiParams(2, 2, 1)).condition_report(1.0)
-        assert report.x == 1.0
         assert math.isclose(report.horizontal_factor, math.sqrt(5.0), rel_tol=1e-12)
         assert math.isclose(
             report.fiber_factor, 1.0 / math.sqrt(5.0), rel_tol=1e-12

@@ -302,4 +302,4 @@ class TestCommonDenominator:
         u = m * taylor_series(u_coeffs_closed(p, 80))
         result = exp_of(u).coeffs
         assert result == schoolbook_exp(u.coeffs)
-        assert result[1:] == tuple(h.value for h in h_values(p, m, 80))
+        assert result[1:] == h_values(p, m, 80)
