@@ -11,22 +11,42 @@ evaluates the closed form of the potential in double precision with
 branch-residue guards.
 """
 
-# Each star import also binds its submodule (``bell``, ...) in this namespace.
-from .bell import *
-from .diastasis import *
-from .inequality import *
-from .potential import *
-from .rationals import *
-from .series import *
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = (
-    ["__version__"]
-    + rationals.__all__
-    + bell.__all__
-    + series.__all__
-    + potential.__all__
-    + inequality.__all__
-    + diastasis.__all__
-)
+# Each module's ``__all__``, in the order of the package's ``__all__``.
+_EXPORTS = {
+    "rationals": "InputError Rational parse_rational format_rational generalized_binomial",
+    "bell": "BellConsistencyError partial_bell_partition partial_bell_recurrence BellTable"
+    " complete_bell",
+    "series": "TruncatedSeries exp_of",
+    "potential": "CalabiParams CoefficientSequence CoefficientMethodMismatch BranchResidueError"
+    " u_coeffs_closed u_coeffs_ode u_coeffs taylor_series condition_series_residual h_values"
+    " ConditionReport ClosedFormEvaluator",
+    "inequality": "normalized_term alternating_bell_sum ScanReport min_negative_r scan_grid",
+    "diastasis": "FubiniStudyBase monomial_indices CoeffMatrix fs_power_matrix fs_coeff_matrix"
+    " psd_check BlockMatrix BlockScanReport eh_block_scan",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = ["__version__", *_MODULE_OF]
+
+# Each submodule is a lazy module, bound here and in ``sys.modules``: its
+# code runs on the first access to one of its attributes.
+for _module in _EXPORTS:
+    _spec = importlib.util.find_spec(f"{__name__}.{_module}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_module])
+del _module, _spec
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_MODULE_OF[name]], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

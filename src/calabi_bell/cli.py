@@ -4,7 +4,9 @@ Subcommands mirror the library layers: ``bell`` (one polynomial value),
 ``useries`` (potential coefficients by both routes, or a numeric point
 check), ``hr`` (block-scale constants), ``scan`` (sign scan over r, with
 a ``--grid`` variant that scans several q in turn), ``blocks`` (the
-projective-space block demonstration).
+projective-space block demonstration). ``scan`` and ``bell`` run only
+``rationals``, ``bell`` and ``inequality``; the other handlers read the
+lazily loaded ``potential`` or ``diastasis`` at the point of use.
 
 Each handler builds its JSON payload once (for ``scan`` and ``blocks``,
 the report's ``to_dict()``), the one source of rendered strings, and hands
@@ -35,20 +37,11 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
+from . import diastasis, potential
 from .bell import BellConsistencyError, complete_bell, partial_bell_recurrence
-from .diastasis import FubiniStudyBase, eh_block_scan
 from .inequality import min_negative_r, scan_grid
-from .potential import (
-    BranchResidueError,
-    CalabiParams,
-    ClosedFormEvaluator,
-    CoefficientMethodMismatch,
-    h_values,
-    u_coeffs,
-    u_coeffs_closed,
-    u_coeffs_ode,
-)
-from .rationals import InputError, format_rational, parse_rational
+from .rationals import BranchResidueError, CoefficientMethodMismatch, InputError
+from .rationals import format_rational, parse_rational
 
 __all__ = ["main", "build_parser"]
 
@@ -146,19 +139,19 @@ def _cmd_bell(args) -> int:
 # -- useries ---------------------------------------------------------------
 
 
-def _params_payload(params: CalabiParams) -> dict:
+def _params_payload(params: potential.CalabiParams) -> dict:
     return {"n": params.n, "k0": format_rational(params.k0), "c": format_rational(params.c)}
 
 
 def _cmd_useries(args) -> int:
-    params = CalabiParams(args.n, args.k0, args.c)
+    params = potential.CalabiParams(args.n, args.k0, args.c)
     if args.eval_point is not None:
         return _useries_eval(params, args)
     if args.order is None:
         raise InputError("--order is required unless --eval is given")
     _check_ceiling(args.order, "--order", "ORDER_CEILING")
-    route = {"closed": u_coeffs_closed, "ode": u_coeffs_ode, "both": u_coeffs}[args.method]
-    seq = route(params, args.order)
+    route = {"closed": "u_coeffs_closed", "ode": "u_coeffs_ode", "both": "u_coeffs"}[args.method]
+    seq = getattr(potential, route)(params, args.order)
     rendered = [format_rational(v) for v in seq.values]
     payload = {**_params_payload(params), "order": args.order, "method": args.method}
     payload["values"] = rendered
@@ -169,9 +162,9 @@ def _cmd_useries(args) -> int:
     return _emit(args.format, payload, ["j", "a"], enumerate(rendered, 1), map(", ".join, lines))
 
 
-def _useries_eval(params: CalabiParams, args) -> int:
+def _useries_eval(params: potential.CalabiParams, args) -> int:
     x = args.eval_point
-    evaluator = ClosedFormEvaluator(params)
+    evaluator = potential.ClosedFormEvaluator(params)
     value, residue = evaluator.u_with_residue(x)
     report = evaluator.condition_report(x)
     values = {
@@ -193,10 +186,10 @@ def _useries_eval(params: CalabiParams, args) -> int:
 
 
 def _cmd_hr(args) -> int:
-    params = CalabiParams(args.n, args.k0, args.c)
+    params = potential.CalabiParams(args.n, args.k0, args.c)
     r_max = args.r if args.r is not None else args.rmax
     _check_ceiling(r_max, "--r/--rmax")
-    values = h_values(params, args.m, r_max)
+    values = potential.h_values(params, args.m, r_max)
     indexed = [(r_max, values[-1])] if args.r is not None else enumerate(values, 1)
     hs = [{"r": r, "h": format_rational(h)} for r, h in indexed]
     payload = {**_params_payload(params), "m": format_rational(args.m), "values": hs}
@@ -235,8 +228,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_blocks(args) -> int:
     _check_ceiling(args.rmax, "--rmax")
-    base = FubiniStudyBase(args.d, args.multiple)
-    payload = eh_block_scan(base, args.c, args.rmax, args.cutoff).to_dict()
+    base = diastasis.FubiniStudyBase(args.d, args.multiple)
+    payload = diastasis.eh_block_scan(base, args.c, args.rmax, args.cutoff).to_dict()
     columns = ["r", "exponent", "scale", "verdict"]
     rows = ([block[name] for name in columns] for block in payload.get("blocks", []))
     return _emit(args.format, payload, columns, rows, _blocks_table(payload, columns, rows))
@@ -342,7 +335,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CoefficientMethodMismatch, BranchResidueError, BellConsistencyError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

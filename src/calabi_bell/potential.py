@@ -35,7 +35,8 @@ from fractions import Fraction
 from operator import mul
 
 from .inequality import _recheck, _s_rows
-from .rationals import InputError, Rational, _at_least, _exact, _positive, _Record
+from .rationals import BranchResidueError, CoefficientMethodMismatch, InputError, Rational
+from .rationals import _at_least, _exact, _positive, _Record
 from .series import TruncatedSeries
 
 __all__ = [
@@ -52,15 +53,6 @@ __all__ = [
     "ConditionReport",
     "ClosedFormEvaluator",
 ]
-
-
-class CoefficientMethodMismatch(ArithmeticError):
-    """The closed-form and forward-substitution coefficient routes disagreed,
-    or the forward substitution met a division that was not exact."""
-
-
-class BranchResidueError(ArithmeticError):
-    """Imaginary parts of the closed form failed to cancel within tolerance."""
 
 
 class CalabiParams(_Record):

@@ -16,6 +16,8 @@ What this module adds is the thin contract layer the rest of the package
 * ``InputError``, the ``ValueError`` of every input value the package
   refuses, and the two range rules the other modules call: ``_at_least``
   (an int >= a bound) and ``_positive`` (``_exact``, then > 0),
+* the potential layer's ``CoefficientMethodMismatch`` and
+  ``BranchResidueError``, here so ``cli.main`` catches them without it,
 * strict ``"p/q"`` parsing and rendering (the textual form used in JSON
   and CSV output; decimal strings are rejected so nothing silently goes
   through floating point),
@@ -34,13 +36,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
 
-__all__ = [
-    "InputError",
-    "Rational",
-    "parse_rational",
-    "format_rational",
-    "generalized_binomial",
-]
+__all__ = ["InputError", "Rational", "parse_rational", "format_rational", "generalized_binomial"]
 
 # The exact scalar type. Alias so call sites read as intent, not plumbing.
 Rational = Fraction
@@ -50,6 +46,14 @@ _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 class InputError(ValueError):
     """An input value outside its domain: the package's one refusal type."""
+
+
+class CoefficientMethodMismatch(ArithmeticError):
+    """The two coefficient routes disagreed, or a forward division was inexact."""
+
+
+class BranchResidueError(ArithmeticError):
+    """Imaginary parts of the closed form failed to cancel within tolerance."""
 
 
 def _at_least(value: int, low: int, what: str) -> int:

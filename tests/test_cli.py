@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import calabi_bell.cli as cli_mod
+import calabi_bell.diastasis as diastasis_mod
 import calabi_bell.inequality as inequality_mod
 import calabi_bell.potential as potential_mod
 from calabi_bell.cli import ORDER_CEILING, RMAX_CEILING, build_parser, main
@@ -508,11 +509,15 @@ class TestWorkCeilings:
 
         monkeypatch.setattr(inequality_mod, "_s_rows", refuse)
         monkeypatch.setattr(potential_mod.cmath, "exp", refuse)  # the evaluator's roots
-        for name in (
-            "min_negative_r", "scan_grid", "h_values", "FubiniStudyBase", "eh_block_scan",
-            "u_coeffs", "u_coeffs_closed", "u_coeffs_ode",
+        # Each name where its handler reads it: scan imports its two, the
+        # others read them off the lazily loaded module on each call.
+        for module, names in (
+            (cli_mod, ("min_negative_r", "scan_grid")),
+            (potential_mod, ("h_values", "u_coeffs", "u_coeffs_closed", "u_coeffs_ode")),
+            (diastasis_mod, ("FubiniStudyBase", "eh_block_scan")),
         ):
-            monkeypatch.setattr(cli_mod, name, refuse)
+            for name in names:
+                monkeypatch.setattr(module, name, refuse)
 
     @pytest.mark.parametrize(
         "argv",
@@ -617,6 +622,26 @@ def test_golden_output(capsys, case):
     consolidated; the fixture is never regenerated."""
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
+
+
+# One golden case for each handler that reads a lazily loaded module, each
+# run as the first command of a fresh interpreter, where that module's code
+# runs in the handler.
+FIRST_COMMANDS = {
+    "hr": "hr --n 3 --k0 7/3 --c 5/2 --m 1/2 --rmax 6 --format json",
+    "useries --method both": "useries --n 3 --k0 2 --c 1 --order 3 --method both --format json",
+    "useries --eval": "useries --n 4 --k0 4 --c 1/2 --eval 0.25 --format table",
+    "blocks": "blocks --d 1 --lambda 2 --c 1 --format table",
+}
+
+
+@pytest.mark.parametrize("command", FIRST_COMMANDS.values(), ids=FIRST_COMMANDS.keys())
+def test_golden_output_as_the_first_command(command):
+    (case,) = [case for case in GOLDEN if case["argv"] == command.split()]
+    done = subprocess.run(
+        [sys.executable, "-m", "calabi_bell", *command.split()], capture_output=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (case["code"], case["stdout"].encode())
 
 
 JSON_CASES = [case for case in GOLDEN if case["code"] == 0 and "json" in case["argv"]]
