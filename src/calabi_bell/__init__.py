@@ -16,14 +16,15 @@ import sys
 
 __version__ = "0.1.0"
 
-# Each module's ``__all__``, in the order of the package's ``__all__``.
+# The package's public names, each under the module that defines it: the
+# one list of them, which ``__all__`` and ``__getattr__`` both read.
 _EXPORTS = {
-    "rationals": "InputError Rational parse_rational format_rational generalized_binomial",
+    "rationals": "InputError CoefficientMethodMismatch BranchResidueError Rational parse_rational"
+    " format_rational generalized_binomial",
     "bell": "BellConsistencyError partial_bell_partition partial_bell_recurrence BellTable"
     " complete_bell",
-    "series": "TruncatedSeries exp_of",
-    "potential": "CalabiParams CoefficientSequence CoefficientMethodMismatch BranchResidueError"
-    " u_coeffs_closed u_coeffs_ode u_coeffs taylor_series condition_series_residual h_values"
+    "series": "TruncatedSeries exp_of taylor_series condition_series_residual",
+    "potential": "CalabiParams CoefficientSequence u_coeffs_closed u_coeffs_ode u_coeffs h_values"
     " ConditionReport ClosedFormEvaluator",
     "inequality": "normalized_term alternating_bell_sum ScanReport min_negative_r scan_grid",
     "diastasis": "FubiniStudyBase monomial_indices CoeffMatrix fs_power_matrix fs_coeff_matrix"

@@ -27,14 +27,6 @@ from math import comb, factorial
 
 from .rationals import InputError, Rational, _at_least, _dot, _exact
 
-__all__ = [
-    "BellConsistencyError",
-    "partial_bell_partition",
-    "partial_bell_recurrence",
-    "BellTable",
-    "complete_bell",
-]
-
 
 class BellConsistencyError(ArithmeticError):
     """A scan's integer kernel disagreed with the Bell triangle over x_l

@@ -43,8 +43,6 @@ from .inequality import min_negative_r, scan_grid
 from .rationals import BranchResidueError, CoefficientMethodMismatch, InputError
 from .rationals import format_rational, parse_rational
 
-__all__ = ["main", "build_parser"]
-
 FORMATS = ("table", "json", "csv")
 
 # Work ceilings, checked before any work starts: the largest r that

@@ -25,18 +25,6 @@ from .rationals import (
     InputError, Rational, _at_least, _exact, _Record, format_rational, generalized_binomial,
 )
 
-__all__ = [
-    "FubiniStudyBase",
-    "monomial_indices",
-    "CoeffMatrix",
-    "fs_power_matrix",
-    "fs_coeff_matrix",
-    "psd_check",
-    "BlockMatrix",
-    "BlockScanReport",
-    "eh_block_scan",
-]
-
 PSD = "PSD"
 NOT_PSD = "not-PSD"
 

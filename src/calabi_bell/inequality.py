@@ -29,8 +29,6 @@ from math import gcd
 from .bell import BellConsistencyError, BellTable
 from .rationals import Rational, _at_least, _dot, _positive, _Record, format_rational
 
-__all__ = ["normalized_term", "alternating_bell_sum", "ScanReport", "min_negative_r", "scan_grid"]
-
 # Scans and h_values re-derive a last row up to this r by the Bell triangle.
 RECHECK_MAX_R = 40
 

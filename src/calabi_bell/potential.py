@@ -37,22 +37,6 @@ from operator import mul
 from .inequality import _recheck, _s_rows
 from .rationals import BranchResidueError, CoefficientMethodMismatch, InputError, Rational
 from .rationals import _at_least, _exact, _positive, _Record
-from .series import TruncatedSeries
-
-__all__ = [
-    "CalabiParams",
-    "CoefficientSequence",
-    "CoefficientMethodMismatch",
-    "BranchResidueError",
-    "u_coeffs_closed",
-    "u_coeffs_ode",
-    "u_coeffs",
-    "taylor_series",
-    "condition_series_residual",
-    "h_values",
-    "ConditionReport",
-    "ClosedFormEvaluator",
-]
 
 
 class CalabiParams(_Record):
@@ -159,31 +143,6 @@ def u_coeffs(params: CalabiParams, order: int) -> CoefficientSequence:
                 f"k0={params.k0}, c={params.c}: closed-form {a} vs forward substitution {b}"
             )
     return ode
-
-
-def taylor_series(coeffs: CoefficientSequence) -> TruncatedSeries:
-    """u as an exact truncated series: constant term 0, [x^j] = a_j / j!."""
-    terms = [Fraction(0)] + [a / math.factorial(j) for j, a in enumerate(coeffs.values, 1)]
-    return TruncatedSeries(tuple(terms))
-
-
-def condition_series_residual(params: CalabiParams, order: int) -> TruncatedSeries:
-    """(1 + k0 x u')^{n-1} (u' + x u'') - c as an exact truncated series.
-
-    Built from the forward-substitution coefficients with the generic
-    series arithmetic: an independent re-expansion of the original,
-    untransformed condition, so it also checks the change of variables
-    inside ``u_coeffs_ode``. Identically zero through the requested order
-    when the solver is consistent.
-    """
-    depth = _at_least(order, 1, "order") + 1
-    seq = u_coeffs_ode(params, depth + 1)
-    u_prime = TruncatedSeries(tuple(seq.values[k] / math.factorial(k) for k in range(depth + 1)))
-    u_second = u_prime.derivative()
-    # x * s at the order of s is the shift (0, s_0, ..., s_{order-1}).
-    horizontal = 1 + params.k0 * TruncatedSeries((Fraction(0), *u_prime.coeffs[:-1]))
-    fiber = u_prime + TruncatedSeries((Fraction(0), *u_second.coeffs[:-1]))
-    return horizontal.pow_int(params.n - 1) * fiber - params.c
 
 
 def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[Fraction, ...]:
@@ -301,11 +260,7 @@ class ClosedFormEvaluator:
 
     def u_with_residue(self, x: float) -> tuple[float, float]:
         """(u(x), imaginary residue of the complex sum)."""
-        t = self._t(x)
-        total = complex(self._n / self._k0 * (t - 1.0))
-        for root, weight in zip(self._roots, self._weights):
-            total -= weight * cmath.log((t - root) / (1.0 - root))
-        return self._guard(total, x, "u")
+        return self._guard(self._sums(x)[0], x, "u")
 
     def u(self, x: float) -> float:
         return self.u_with_residue(x)[0]
@@ -314,7 +269,8 @@ class ClosedFormEvaluator:
         """(u(x), u'(x), u''(x)) by termwise differentiation, same guard."""
         return self._parts(x)[:3]
 
-    def _parts(self, x: float) -> tuple[float, float, float, float]:
+    def _sums(self, x: float) -> tuple[complex, complex, complex]:
+        """The unguarded complex sums of u, u' and u'' at x."""
         t = self._t(x)
         dt = (self._slope / self._n) * t ** (1 - self._n)
         d2t = (self._slope / self._n) * (1 - self._n) * t ** (-self._n) * dt
@@ -326,10 +282,12 @@ class ClosedFormEvaluator:
             u_acc -= weight * cmath.log(gap / (1.0 - root))
             u1_acc -= weight * dt / gap
             u2_acc -= weight * (d2t / gap - (dt * dt) / (gap * gap))
-        u_val, res0 = self._guard(u_acc, x, "u")
-        u1_val, res1 = self._guard(u1_acc, x, "u'")
-        u2_val, res2 = self._guard(u2_acc, x, "u''")
-        return u_val, u1_val, u2_val, max(res0, res1, res2)
+        return u_acc, u1_acc, u2_acc
+
+    def _parts(self, x: float) -> tuple[float, float, float, float]:
+        sums = zip(self._sums(x), ("u", "u'", "u''"))
+        values, residues = zip(*(self._guard(value, x, what) for value, what in sums))
+        return (*values, max(residues))
 
     def condition_report(self, x: float) -> ConditionReport:
         _, u1, u2, residue = self._parts(x)

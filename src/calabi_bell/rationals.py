@@ -36,8 +36,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
 
-__all__ = ["InputError", "Rational", "parse_rational", "format_rational", "generalized_binomial"]
-
 # The exact scalar type. Alias so call sites read as intent, not plumbing.
 Rational = Fraction
 

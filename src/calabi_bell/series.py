@@ -7,6 +7,8 @@ scalar operations keep the order unchanged. Everything is exact; there is
 no floating-point coefficient mode. Products and ``exp_of`` hold each
 operand as Python ints over one running common denominator (``_common``),
 so each output coefficient is one integer sum of products, normalized once.
+``taylor_series`` and ``condition_series_residual`` expand the radial
+potential of ``potential`` and its defining condition.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from operator import mul
 
+from .potential import CalabiParams, CoefficientSequence, u_coeffs_ode
 from .rationals import InputError, Rational, _at_least, _exact, _Record
-
-__all__ = ["TruncatedSeries", "exp_of"]
 
 
 class TruncatedSeries(_Record):
@@ -135,6 +136,31 @@ def exp_of(series: TruncatedSeries) -> TruncatedSeries:
     for k, ((w, dw), (y, dy)) in enumerate(zip(weighted, _common(b)), 1):
         b.append(Fraction(sum(map(mul, w, reversed(y))), dw * dy * k))
     return TruncatedSeries(tuple(b))
+
+
+def taylor_series(coeffs: CoefficientSequence) -> TruncatedSeries:
+    """u as an exact truncated series: constant term 0, [x^j] = a_j / j!."""
+    terms = [Fraction(0)] + [a / math.factorial(j) for j, a in enumerate(coeffs.values, 1)]
+    return TruncatedSeries(tuple(terms))
+
+
+def condition_series_residual(params: CalabiParams, order: int) -> TruncatedSeries:
+    """(1 + k0 x u')^{n-1} (u' + x u'') - c as an exact truncated series.
+
+    Built from the forward-substitution coefficients with the generic
+    series arithmetic: an independent re-expansion of the original,
+    untransformed condition, so it also checks the change of variables
+    inside ``u_coeffs_ode``. Identically zero through the requested order
+    when the solver is consistent.
+    """
+    depth = _at_least(order, 1, "order") + 1
+    seq = u_coeffs_ode(params, depth + 1)
+    u_prime = TruncatedSeries(tuple(seq.values[k] / math.factorial(k) for k in range(depth + 1)))
+    u_second = u_prime.derivative()
+    # x * s at the order of s is the shift (0, s_0, ..., s_{order-1}).
+    horizontal = 1 + params.k0 * TruncatedSeries((Fraction(0), *u_prime.coeffs[:-1]))
+    fiber = u_prime + TruncatedSeries((Fraction(0), *u_second.coeffs[:-1]))
+    return horizontal.pow_int(params.n - 1) * fiber - params.c
 
 
 def _square(coeffs: tuple[Fraction, ...]) -> Iterator[Fraction]:

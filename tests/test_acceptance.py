@@ -36,13 +36,12 @@ from calabi_bell.potential import (
     ClosedFormEvaluator,
     CoefficientSequence,
     h_values,
-    taylor_series,
     u_coeffs,
     u_coeffs_closed,
     u_coeffs_ode,
 )
 from calabi_bell.rationals import factorial
-from calabi_bell.series import TruncatedSeries, exp_of
+from calabi_bell.series import TruncatedSeries, exp_of, taylor_series
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -15,14 +15,13 @@ from calabi_bell.potential import (
     ClosedFormEvaluator,
     CoefficientMethodMismatch,
     CoefficientSequence,
-    condition_series_residual,
     h_values,
-    taylor_series,
     u_coeffs,
     u_coeffs_closed,
     u_coeffs_ode,
 )
 from calabi_bell.rationals import InputError, generalized_binomial
+from calabi_bell.series import condition_series_residual, taylor_series
 
 GRID = [
     CalabiParams(n, Fraction(k0), Fraction(c))

@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from calabi_bell.bell import complete_bell
-from calabi_bell.potential import CalabiParams, h_values, taylor_series, u_coeffs_closed
+from calabi_bell.potential import CalabiParams, h_values, u_coeffs_closed
 from calabi_bell.rationals import factorial, generalized_binomial
-from calabi_bell.series import TruncatedSeries, exp_of
+from calabi_bell.series import TruncatedSeries, exp_of, taylor_series
 
 PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
