@@ -49,7 +49,7 @@ ROOT = Path(__file__).parent.parent
 
 def test_package_names_are_the_export_map():
     names = calabi_bell.__all__
-    exports = {stem: names.split() for stem, names in calabi_bell._EXPORTS.items()}
+    exports = {stem: listed.split() for stem, listed in calabi_bell._EXPORTS.items()}
     assert names == ["__version__", *(name for listed in exports.values() for name in listed)]
     assert len(names) == len(set(names))
     # The package resolves each name on first access from its map; it must
@@ -121,10 +121,10 @@ def test_every_export_has_a_caller():
     for block in (ROOT / "README.md").read_text().split("```python\n")[1:]:
         outside |= _names_in(ast.parse(block.split("```", 1)[0]))
     exports, reached, annotated = set(), set(), {}
-    for stem, names in calabi_bell._EXPORTS.items():
+    for stem, listed in calabi_bell._EXPORTS.items():
         elsewhere = outside.union(*(_names_in(tree) for other, tree in trees.items() if other != stem))
-        exports |= set(names.split())
-        reached |= set(names.split()) & elsewhere
+        exports |= set(listed.split())
+        reached |= set(listed.split()) & elsewhere
         annotated.update(_annotated(trees[stem]))
     frontier = list(reached)
     while frontier:
