@@ -14,9 +14,10 @@ path is the binomial recurrence
 
     B_{r,j} = sum_{i=1}^{r-j+1} C(r-1, i-1) * x_i * B_{r-i, j-1}
 
-with B_{0,0} = 1, which ``BellTable`` memoizes row by row, O(r^3) in all, for
+with B_{0,0} = 1, which ``BellTable`` memoizes by column, O(r^3) in all, for
 ``bell`` and as the oracle of the integer kernel of S and h_r. Both
-recurrences take each inner i-sum as one ``rationals._dot``.
+recurrences take each inner i-sum as one ``rationals._dot``; in the table
+its B_{r-i,j-1} are one reversed slice of column j-1.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class BellTable:
     ``terms`` is either a finite sequence (x_1, x_2, ...) or a callable
     mapping l >= 1 to x_l, for sequences defined by a formula. Rows are
     built on demand by ``extend`` / ``value`` and never recomputed, so
-    reading many r from one table costs one triangle.
+    reading many r from one table costs one triangle, stored by column.
     """
 
     def __init__(self, terms: Sequence[Rational | int] | Callable[[int], Rational]):
@@ -122,35 +123,35 @@ class BellTable:
             seq = [_exact(v, "x") for v in terms]
             self._term = lambda l: seq[l - 1]
             self._limit = len(seq)
-        self._xs: list[Fraction] = []
-        # _rows[r] holds (B_{r,1}, ..., B_{r,r}); row index 0 is a stub.
-        self._rows: list[list[Fraction]] = [[]]
+        # _cols[j] = [B_{j,j}, B_{j+1,j}, ...]: column 1 is x_1, x_2, ...; 0 is a stub.
+        self._cols: list[list[Fraction]] = [[]]
 
     @property
     def r_max(self) -> int:
-        return len(self._rows) - 1
+        return len(self._cols) - 1
 
     def extend(self, r_max: int) -> None:
         if self._limit is not None and r_max > self._limit:
             raise InputError(f"input sequence has only {self._limit} terms, cannot extend to r={r_max}")
+        cols = self._cols
         while self.r_max < r_max:
             r = self.r_max + 1
-            self._xs.append(_exact(self._term(r), "x"))
-            weighted = [comb(r - 1, i) * x for i, x in enumerate(self._xs)]  # one per row
-            row = [self._xs[r - 1]]
+            x = _exact(self._term(r), "x")  # a bad term leaves the table as it was
+            cols.append([])
+            weighted = [comb(r - 1, i) * v for i, v in enumerate(cols[1])]  # x_1..x_{r-1}
+            cols[1].append(x)
             for j in range(2, r + 1):
-                row.append(_dot(weighted, [self._rows[r - i][j - 2] for i in range(1, r - j + 2)]))
-            self._rows.append(row)
+                cols[j].append(_dot(weighted, cols[j - 1][r - j :: -1]))
 
     def value(self, r: int, j: int) -> Rational:
         _check_indices(r, j)
         self.extend(r)
-        return self._rows[r][j - 1]
+        return self._cols[j][r - j]
 
     def row(self, r: int) -> tuple[Rational, ...]:
         """(B_{r,1}, ..., B_{r,r})."""
         self.extend(_at_least(r, 1, "row index"))
-        return tuple(self._rows[r])
+        return tuple(self._cols[j][r - j] for j in range(1, r + 1))
 
 
 def complete_bell(r: int, values: Sequence[Rational | int]) -> Rational:

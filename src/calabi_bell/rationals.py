@@ -23,8 +23,7 @@ What this module adds is the thin contract layer the rest of the package
   through floating point),
 * generalized binomial coefficients with rational upper argument
   (non-integer diastasis exponents),
-* ``_dot``, the exact sum of products of the two Bell recurrences (the
-  series layer keeps its operands as ints over a common denominator),
+* ``_dot``, the exact sum of products of the two Bell recurrences,
 * ``_Record``, the base of the package's immutable value classes.
 """
 
@@ -124,14 +123,16 @@ def generalized_binomial(a: Rational | int, k: int) -> Rational:
 
 
 def _dot(xs: Sequence[Rational | int], ys: Sequence[Rational | int]) -> Fraction:
-    """sum(x * y for x, y in zip(xs, ys)), exactly: zero terms skipped,
-    products added on one running common denominator, one reduction."""
+    """sum(x * y for x, y in zip(xs, ys)), exactly, on ``as_integer_ratio()``:
+    zero numerators skipped, one running common denominator, one reduction."""
     num, den = 0, 1
     for x, y in zip(xs, ys):
-        if x and y:
-            pn, pd = x.numerator * y.numerator, x.denominator * y.denominator
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        if xn and yn:
+            pd = xd * yd
             g = math.gcd(den, pd)
-            num, den = num * (pd // g) + pn * (den // g), den // g * pd
+            num, den = num * (pd // g) + xn * yn * (den // g), den // g * pd
     return Fraction(num, den)
 
 

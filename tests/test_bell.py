@@ -182,8 +182,13 @@ class TestTable:
         xs = [normalized_term(n, l) for l in range(1, 31)]
         expected = fraction_triangle(xs, 30)
         table = BellTable(xs)
-        for r in range(1, 31):
-            assert table.row(r) == tuple(expected[r][1:]), r
+        # Two extends: the second appends to columns the first left open.
+        for r_max in (15, 30):
+            table.extend(r_max)
+            assert table.r_max == r_max
+            for r in range(1, r_max + 1):
+                assert table.row(r) == tuple(expected[r][1:]), r
+                assert [table.value(r, j) for j in range(1, r + 1)] == expected[r][1:], r
         for r, j in ((30, 2), (30, 17), (29, 28), (12, 5)):
             assert partial_bell_recurrence(r, j, xs) == expected[r][j], (r, j)
 
@@ -191,6 +196,16 @@ class TestTable:
         table = BellTable(lambda l: Fraction(1, l))
         assert table.value(3, 3) == 1
         assert [table.value(l, 1) for l in (1, 2, 3)] == [1, Fraction(1, 2), Fraction(1, 3)]
+
+    def test_failed_extend_leaves_table_intact(self):
+        table = BellTable(lambda l: 0.5 if l == 5 else Fraction(1, l))
+        table.extend(4)
+        rows = [table.row(r) for r in range(1, 5)]
+        with pytest.raises(TypeError):
+            table.extend(6)
+        assert table.r_max == 4
+        assert [table.row(r) for r in range(1, 5)] == rows
+        assert table.value(4, 2) == partial_bell_partition(4, 2, [Fraction(1, l) for l in range(1, 4)])
 
     def test_finite_source_exhaustion(self):
         table = BellTable([1, 1])
