@@ -134,8 +134,7 @@ class BellTable:
         if self._limit is not None and r_max > self._limit:
             raise InputError(f"input sequence has only {self._limit} terms, cannot extend to r={r_max}")
         cols = self._cols
-        while self.r_max < r_max:
-            r = self.r_max + 1
+        for r in range(len(cols), r_max + 1):
             x = _exact(self._term(r), "x")  # a bad term leaves the table as it was
             cols.append([])
             weighted = [comb(r - 1, i) * v for i, v in enumerate(cols[1])]  # x_1..x_{r-1}

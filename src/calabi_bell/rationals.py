@@ -23,7 +23,8 @@ What this module adds is the thin contract layer the rest of the package
   through floating point),
 * generalized binomial coefficients with rational upper argument
   (non-integer diastasis exponents),
-* ``_dot``, the exact sum of products of the two Bell recurrences,
+* ``_dot``, the exact sum of products of the two Bell recurrences (the
+  series layer keeps its operands as ints over a common denominator),
 * ``_Record``, the base of the package's immutable value classes.
 """
 
