@@ -29,7 +29,6 @@ report). Any other exception is a fault and propagates.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -83,15 +82,12 @@ def _check_ceiling(value: int, name: str, ceiling: str = "RMAX_CEILING") -> None
 
 def _emit(fmt: str, payload, columns: list[str], rows: Iterable, table: Iterable[str]) -> int:
     """Write a command's output once, in the chosen format: the JSON
-    ``payload`` (dict or list), the CSV of ``columns`` and ``rows``, or the
-    ``table`` lines. ``rows`` and ``table`` may be generators, even one
-    shared: only the chosen format reads them."""
+    ``payload`` (dict or list), CSV lines of ``columns`` and ``rows`` (no
+    field needs quoting), or the ``table`` lines. ``rows`` and ``table``
+    may be generators, even one shared: only the chosen format reads them."""
     if fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-    else:
-        sys.stdout.write((_json(payload) if fmt == "json" else "\n".join(table)) + "\n")
+        table = (",".join(map(str, row)) for row in (columns, *rows))
+    sys.stdout.write((_json(payload) if fmt == "json" else "\n".join(table)) + "\n")
     return 0
 
 

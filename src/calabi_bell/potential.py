@@ -16,7 +16,7 @@ closed form numerically:
 * ``u_coeffs_ode``: forward substitution on the defining condition,
   no knowledge of the product formula: an all-integer recurrence on the
   ordinary coefficients of V = 1 + k0 x u', with a guarded exact division;
-* ``u_coeffs``: both, with exact agreement enforced;
+* ``u_coeffs``: the second route's values, checked exactly against the first;
 * ``ClosedFormEvaluator``: double-precision values of u, u', u'' away
   from 0, via the n-th root t(x) = (1 + n k0 c x)^{1/n} and
   principal-branch logarithms against the nontrivial n-th roots of
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import mul
 
@@ -74,6 +75,15 @@ class CoefficientSequence(_Record):
         object.__setattr__(self, "values", tuple(_exact(v, "a_j") for v in self.values))
 
 
+def _closed_ratios(params: CalabiParams, order: int) -> Iterator[tuple[int, int]]:
+    """The product formula's a_1, ..., a_order as unreduced integer ratios (p, q), q > 0."""
+    (cn, cd), (kn, kd) = params.c.as_integer_ratio(), params.k0.as_integer_ratio()
+    num, den = cn, cd
+    for j in range(1, order + 1):
+        yield num, den * j
+        num, den = num * (-cn * kn * (params.n * j - 1)), den * (cd * kd)
+
+
 def u_coeffs_closed(params: CalabiParams, order: int) -> CoefficientSequence:
     """Derivatives at 0 from the explicit product formula.
 
@@ -83,13 +93,7 @@ def u_coeffs_closed(params: CalabiParams, order: int) -> CoefficientSequence:
     starting from a_1 = c > 0. Integers throughout; one reduction per a_j.
     """
     _at_least(order, 1, "order")
-    (cn, cd), (kn, kd) = params.c.as_integer_ratio(), params.k0.as_integer_ratio()
-    num, den, values = cn, cd, []
-    for j in range(1, order + 1):
-        values.append(Fraction(num, den * j))
-        num *= -cn * kn * (params.n * j - 1)
-        den *= cd * kd
-    return CoefficientSequence(tuple(values))
+    return CoefficientSequence(tuple(Fraction(p, q) for p, q in _closed_ratios(params, order)))
 
 
 def u_coeffs_ode(params: CalabiParams, order: int) -> CoefficientSequence:
@@ -129,18 +133,18 @@ def u_coeffs_ode(params: CalabiParams, order: int) -> CoefficientSequence:
 
 
 def u_coeffs(params: CalabiParams, order: int) -> CoefficientSequence:
-    """Both routes, compared entry by entry; exact agreement is mandatory.
+    """The forward-substitution record, each a_j = N/D checked against the
+    product formula's unreduced p/q as N q == p D, so each a_j is reduced once.
 
     A mismatch is an internal-consistency failure, not a user error, and
     raises ``CoefficientMethodMismatch`` naming the first bad index.
     """
-    closed = u_coeffs_closed(params, order)
     ode = u_coeffs_ode(params, order)
-    for j, (a, b) in enumerate(zip(closed.values, ode.values), 1):
-        if a != b:
+    for j, (a, (p, q)) in enumerate(zip(ode.values, _closed_ratios(params, order)), 1):
+        if a.numerator * q != p * a.denominator:
             raise CoefficientMethodMismatch(
-                f"coefficient routes disagree at j={j} for n={params.n}, "
-                f"k0={params.k0}, c={params.c}: closed-form {a} vs forward substitution {b}"
+                f"coefficient routes disagree at j={j} for n={params.n}, k0={params.k0}, "
+                f"c={params.c}: closed-form {Fraction(p, q)} vs forward substitution {a}"
             )
     return ode
 
@@ -163,11 +167,11 @@ def h_values(params: CalabiParams, m: Rational | int, r_max: int) -> tuple[Fract
 
 
 def _scaled(params: CalabiParams, rows: list[Fraction]) -> list[Fraction]:
-    """h_r = (c k0)^r / r! S_r for the rows S_1, S_2, ... of a scan."""
-    step, factor, scales = params.c * params.k0, Fraction(1), []
+    """h_r = (c k0)^r / r! S_r for the rows S_1, S_2, ... of a scan; one reduction per h_r."""
+    (sn, sd), num, den, scales = (params.c * params.k0).as_integer_ratio(), 1, 1, []
     for r, s in enumerate(rows, 1):
-        factor = factor * step / r
-        scales.append(factor * s)
+        num, den = num * sn, den * (sd * r)
+        scales.append(Fraction(num * s.numerator, den * s.denominator))
     return scales
 
 
@@ -260,7 +264,7 @@ class ClosedFormEvaluator:
 
     def u_with_residue(self, x: float) -> tuple[float, float]:
         """(u(x), imaginary residue of the complex sum)."""
-        return self._guard(self._sums(x)[0], x, "u")
+        return self._guard(self._u_sum(self._t(x)), x, "u")
 
     def u(self, x: float) -> float:
         return self.u_with_residue(x)[0]
@@ -269,23 +273,23 @@ class ClosedFormEvaluator:
         """(u(x), u'(x), u''(x)) by termwise differentiation, same guard."""
         return self._parts(x)[:3]
 
-    def _sums(self, x: float) -> tuple[complex, complex, complex]:
-        """The unguarded complex sums of u, u' and u'' at x."""
+    def _u_sum(self, t: float) -> complex:
+        u_acc = complex(self._n / self._k0 * (t - 1.0))
+        for root, weight in zip(self._roots, self._weights):
+            u_acc -= weight * cmath.log((t - root) / (1.0 - root))
+        return u_acc
+
+    def _parts(self, x: float) -> tuple[float, float, float, float]:
         t = self._t(x)
         dt = (self._slope / self._n) * t ** (1 - self._n)
         d2t = (self._slope / self._n) * (1 - self._n) * t ** (-self._n) * dt
-        u_acc = complex(self._n / self._k0 * (t - 1.0))
-        u1_acc = complex(self._n / self._k0 * dt)
-        u2_acc = complex(self._n / self._k0 * d2t)
-        for root, weight in zip(self._roots, self._weights):
+        u_acc, u1_acc, u2_acc = (complex(self._n / self._k0 * v) for v in (t - 1.0, dt, d2t))
+        for root, weight in zip(self._roots, self._weights):  # the u terms exactly as in _u_sum
             gap = t - root
             u_acc -= weight * cmath.log(gap / (1.0 - root))
             u1_acc -= weight * dt / gap
             u2_acc -= weight * (d2t / gap - (dt * dt) / (gap * gap))
-        return u_acc, u1_acc, u2_acc
-
-    def _parts(self, x: float) -> tuple[float, float, float, float]:
-        sums = zip(self._sums(x), ("u", "u'", "u''"))
+        sums = zip((u_acc, u1_acc, u2_acc), ("u", "u'", "u''"))
         values, residues = zip(*(self._guard(value, x, what) for value, what in sums))
         return (*values, max(residues))
 

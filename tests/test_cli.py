@@ -1,6 +1,8 @@
 """CLI tests: every subcommand and format, exit codes, deterministic
 output, and the emitted JSON read back as the reports' payloads."""
 
+import csv
+import io
 import json
 import math
 import shlex
@@ -18,7 +20,7 @@ import calabi_bell.inequality as inequality_mod
 import calabi_bell.potential as potential_mod
 from calabi_bell.cli import ORDER_CEILING, RMAX_CEILING, build_parser, main
 from calabi_bell.inequality import min_negative_r
-from calabi_bell.potential import EVAL_N_CEILING, CoefficientSequence
+from calabi_bell.potential import EVAL_N_CEILING
 
 
 def run_cli(capsys, *argv):
@@ -286,14 +288,13 @@ class TestHr:
 class TestCoefficientMismatch:
     @pytest.fixture(autouse=True)
     def corrupt_closed_route(self, monkeypatch):
-        real = potential_mod.u_coeffs_closed
+        real = potential_mod._closed_ratios
 
         def corrupted(params, order):
-            good = real(params, order)
-            values = good.values[:-1] + (good.values[-1] + 1,)
-            return CoefficientSequence(values)
+            *good, (p, q) = real(params, order)
+            return [*good, (p + q, q)]  # the last value plus one
 
-        monkeypatch.setattr(potential_mod, "u_coeffs_closed", corrupted)
+        monkeypatch.setattr(potential_mod, "_closed_ratios", corrupted)
 
     @pytest.mark.parametrize(
         "argv",
@@ -642,6 +643,22 @@ def test_golden_output_as_the_first_command(command):
         [sys.executable, "-m", "calabi_bell", *command.split()], capture_output=True, timeout=60
     )
     assert (done.returncode, done.stdout) == (case["code"], case["stdout"].encode())
+
+
+CSV_CASES = [case for case in GOLDEN if case["code"] == 0 and "csv" in case["argv"]]
+
+
+@pytest.mark.parametrize("case", CSV_CASES, ids=lambda case: " ".join(case["argv"]))
+def test_csv_lines_read_back_unchanged(capsys, case):
+    """Each CSV line is its fields joined by commas, with no quoting: a
+    field that needed quoting would change width or text here."""
+    _, out, _ = run_cli(capsys, *case["argv"])
+    lines = out.splitlines()
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == len(lines) >= 1
+    for row, line in zip(rows, lines):
+        assert len(row) == len(rows[0])
+        assert ",".join(row) == line
 
 
 JSON_CASES = [case for case in GOLDEN if case["code"] == 0 and "json" in case["argv"]]

@@ -37,6 +37,12 @@ CRITERION_PARAMS = [
 ]
 
 
+def _unreduced(seq):
+    """A stand-in for ``potential._closed_ratios`` that yields the values
+    of ``seq`` as integer ratios outside lowest terms, as that route does."""
+    return lambda params, order: ((7 * v.numerator, 7 * v.denominator) for v in seq.values)
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -198,7 +204,7 @@ class TestCoefficients:
         p = CalabiParams(2, 2, 1)
         good = u_coeffs_closed(p, 4)
         corrupted = CoefficientSequence(good.values[:3] + (Fraction(1),))
-        monkeypatch.setattr(potential_mod, "u_coeffs_closed", lambda *a: corrupted)
+        monkeypatch.setattr(potential_mod, "_closed_ratios", _unreduced(corrupted))
         with pytest.raises(CoefficientMethodMismatch, match="j=4"):
             u_coeffs(p, 4)
 
@@ -210,7 +216,7 @@ class TestCoefficients:
         bad = list(good)
         bad[2], bad[5] = good[2] + 1, good[5] - 1
         corrupted = CoefficientSequence(bad)
-        monkeypatch.setattr(potential_mod, "u_coeffs_closed", lambda *a: corrupted)
+        monkeypatch.setattr(potential_mod, "_closed_ratios", _unreduced(corrupted))
         with pytest.raises(CoefficientMethodMismatch) as caught:
             u_coeffs(p, 8)
         assert str(caught.value) == (
@@ -218,9 +224,37 @@ class TestCoefficients:
             f"closed-form {good[2] + 1} vs forward substitution {good[2]}"
         )
 
+    def test_corrupted_ode_integer_is_caught(self, monkeypatch):
+        # N_5 one too large: the row sum at s = 5 moves by 2 s (s-1) = 40,
+        # so the division stays exact and the remainder guard passes; only
+        # the closed route can catch it.
+        def shifted(total, base):
+            return divmod(total + (base if base == 40 else 0), base)
+
+        p = CalabiParams(3, Fraction(7, 3), Fraction(5, 2))
+        good = u_coeffs_ode(p, 5).values
+        monkeypatch.setattr(potential_mod, "divmod", shifted, raising=False)
+        bad = u_coeffs_ode(p, 5).values
+        assert bad[:4] == good[:4] and bad[4] != good[4]
+        with pytest.raises(CoefficientMethodMismatch) as caught:
+            u_coeffs(p, 5)
+        assert str(caught.value) == (
+            f"coefficient routes disagree at j=5 for n=3, k0=7/3, c=5/2: "
+            f"closed-form {good[4]} vs forward substitution {bad[4]}"
+        )
+
     def test_cross_checked_sequence_equals_each_route(self):
         p = CalabiParams(3, Fraction(7, 3), Fraction(5, 2))
         assert u_coeffs(p, 30) == u_coeffs_ode(p, 30) == u_coeffs_closed(p, 30)
+
+    def test_cross_checked_sequence_equals_each_route_at_order_250(self):
+        rng = random.Random(25)
+        for _ in range(5):
+            n = rng.randint(2, 9)
+            k0 = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+            c = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+            p = CalabiParams(n, k0, c)
+            assert u_coeffs(p, 250) == u_coeffs_closed(p, 250) == u_coeffs_ode(p, 250), p
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -400,6 +434,15 @@ class TestEvaluator:
                     p,
                     float(x),
                 )
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 1000])
+    def test_u_alone_equals_the_first_derivative_entry(self, n):
+        # u and u_with_residue build only the u sum, the same float sum
+        # that derivatives and condition_report guard.
+        ev = ClosedFormEvaluator(CalabiParams(n, Fraction(1, 2), Fraction(1, 3)))
+        for x in (0.0, 0.05, 0.5, 3.0, 40.0):
+            assert ev.u(x) == ev.derivatives(x)[0], x
+            assert ev.u_with_residue(x)[1] <= ev.condition_report(x).imaginary_residue, x
 
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
