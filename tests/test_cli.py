@@ -310,6 +310,20 @@ class TestCoefficientMismatch:
         assert "j=5" in err
 
 
+def test_corrupted_ode_integer_exits_2(capsys, monkeypatch):
+    # N_5 one too large: 2 s (s-1) = 40 divides the shift of the row sum,
+    # so the remainder guard passes and only the closed route catches it.
+    def shifted(total, base):
+        return divmod(total + (base if base == 40 else 0), base)
+
+    monkeypatch.setattr(potential_mod, "divmod", shifted, raising=False)
+    argv = ("useries", "--n", "3", "--k0", "2", "--c", "1", "--order", "5", "--method", "both")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "internal consistency failure" in err
+    assert "j=5" in err
+
+
 class TestKernelMismatch:
     """A kernel row that is wrong by a factor keeps its sign, so the scan
     stops where it would; the re-check of the last row must catch it."""

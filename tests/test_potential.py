@@ -244,16 +244,13 @@ class TestCoefficients:
         )
 
     def test_cross_checked_sequence_equals_each_route(self):
-        p = CalabiParams(3, Fraction(7, 3), Fraction(5, 2))
-        assert u_coeffs(p, 30) == u_coeffs_ode(p, 30) == u_coeffs_closed(p, 30)
-
-    def test_cross_checked_sequence_equals_each_route_at_order_250(self):
         rng = random.Random(25)
+        params = [CalabiParams(3, Fraction(7, 3), Fraction(5, 2))]
         for _ in range(5):
-            n = rng.randint(2, 9)
             k0 = Fraction(rng.randint(1, 40), rng.randint(1, 40))
             c = Fraction(rng.randint(1, 40), rng.randint(1, 40))
-            p = CalabiParams(n, k0, c)
+            params.append(CalabiParams(rng.randint(2, 9), k0, c))
+        for p in params:
             assert u_coeffs(p, 250) == u_coeffs_closed(p, 250) == u_coeffs_ode(p, 250), p
 
     def test_order_validation(self):
