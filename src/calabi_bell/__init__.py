@@ -19,10 +19,9 @@ __version__ = "0.1.0"
 # The package's public names, each under the module that defines it: the
 # one list of them, which ``__all__`` and ``__getattr__`` both read.
 _EXPORTS = {
-    "rationals": "InputError CoefficientMethodMismatch BranchResidueError Rational parse_rational"
-    " format_rational generalized_binomial",
-    "bell": "BellConsistencyError partial_bell_partition partial_bell_recurrence BellTable"
-    " complete_bell",
+    "rationals": "InputError CoefficientMethodMismatch BranchResidueError BellConsistencyError"
+    " Rational parse_rational format_rational generalized_binomial",
+    "bell": "partial_bell_partition partial_bell_recurrence BellTable complete_bell",
     "series": "TruncatedSeries exp_of taylor_series condition_series_residual",
     "potential": "CalabiParams CoefficientSequence u_coeffs_closed u_coeffs_ode u_coeffs h_values"
     " ConditionReport ClosedFormEvaluator",

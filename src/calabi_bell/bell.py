@@ -29,11 +29,6 @@ from math import comb, factorial
 from .rationals import InputError, Rational, _at_least, _dot, _exact
 
 
-class BellConsistencyError(ArithmeticError):
-    """A scan's integer kernel disagreed with the Bell triangle over x_l
-    (``inequality._recheck``), or one of its exact divisions left a remainder."""
-
-
 def _check_indices(r: int, j: int) -> None:
     if not (isinstance(r, int) and isinstance(j, int) and 1 <= j <= r):
         raise InputError(f"require integers 1 <= j <= r, got r={r!r}, j={j!r}")
@@ -73,12 +68,8 @@ def partial_bell_partition(r: int, j: int, values: Sequence[Rational | int]) -> 
         if weight_left < part * blocks_left or weight_left > largest * blocks_left:
             return
         for count in range(min(blocks_left, weight_left // part) + 1):
-            descend(
-                part + 1,
-                weight_left - part * count,
-                blocks_left - count,
-                coeff * factor(part, count),
-            )
+            scaled = coeff * factor(part, count)
+            descend(part + 1, weight_left - part * count, blocks_left - count, scaled)
 
     descend(1, r, j, Fraction(factorial(r)))
     return total

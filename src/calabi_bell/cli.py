@@ -4,9 +4,10 @@ Subcommands mirror the library layers: ``bell`` (one polynomial value),
 ``useries`` (potential coefficients by both routes, or a numeric point
 check), ``hr`` (block-scale constants), ``scan`` (sign scan over r, with
 a ``--grid`` variant that scans several q in turn), ``blocks`` (the
-projective-space block demonstration). ``scan`` and ``bell`` run only
-``rationals``, ``bell`` and ``inequality``; the other handlers read the
-lazily loaded ``potential`` or ``diastasis`` at the point of use.
+projective-space block demonstration). Importing it runs only ``rationals``
+and ``inequality``: handlers read the lazy ``bell``, ``potential`` and
+``diastasis`` where they use them (``scan`` runs ``bell`` only to re-check
+r <= 40 or for ``--grid``), and only JSON output imports ``json``.
 
 Each handler builds its JSON payload once (for ``scan`` and ``blocks``,
 the report's ``to_dict()``), the one source of rendered strings, and hands
@@ -30,17 +31,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
-from . import diastasis, potential
-from .bell import BellConsistencyError, complete_bell, partial_bell_recurrence
+from . import bell, diastasis, potential
 from .inequality import min_negative_r, scan_grid
-from .rationals import BranchResidueError, CoefficientMethodMismatch, InputError
-from .rationals import format_rational, parse_rational
+from .rationals import BellConsistencyError, BranchResidueError, CoefficientMethodMismatch
+from .rationals import InputError, format_rational, parse_rational
 
 FORMATS = ("table", "json", "csv")
 
@@ -91,21 +89,27 @@ def _emit(fmt: str, payload, columns: list[str], rows: Iterable, table: Iterable
     return 0
 
 
-def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``, which never reaches the C encoder:
-    the containers are indented here, each str leaf goes through the C
-    ``encode_basestring_ascii`` and each int through ``int.__repr__``."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if not value or not isinstance(value, (dict, list)):
-        return json.dumps(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
-        return "{" + inner + f",{inner}".join(items) + indent + "}"
-    return "[" + inner + f",{inner}".join([_json(v, inner) for v in value]) + indent + "]"
+def _json(payload) -> str:
+    """``json.dumps(payload, indent=2)`` without its pure-Python encoder:
+    containers are indented here, str leaves go through the C
+    ``encode_basestring_ascii`` and ints through ``int.__repr__``."""
+    import json.encoder
+    esc = json.encoder.encode_basestring_ascii
+
+    def render(value, indent: str) -> str:
+        if isinstance(value, str):
+            return esc(value)
+        if type(value) is int:
+            return int.__repr__(value)
+        if not value or not isinstance(value, (dict, list)):
+            return json.dumps(value)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [f"{esc(k)}: {render(v, inner)}" for k, v in value.items()]
+            return "{" + inner + f",{inner}".join(items) + indent + "}"
+        return "[" + inner + f",{inner}".join([render(v, inner) for v in value]) + indent + "]"
+
+    return render(payload, "\n")
 
 
 def _tab(columns: list[str], rows: Iterable[list]) -> Iterator[str]:
@@ -120,10 +124,10 @@ def _tab(columns: list[str], rows: Iterable[list]) -> Iterator[str]:
 def _cmd_bell(args) -> int:
     r, j = args.r, args.j
     if j is not None:
-        value = format_rational(partial_bell_recurrence(r, j, args.x))
+        value = format_rational(bell.partial_bell_recurrence(r, j, args.x))
         payload = {"kind": "partial", "r": r, "j": j}
     else:
-        value = format_rational(complete_bell(r, args.x))
+        value = format_rational(bell.complete_bell(r, args.x))
         payload = {"kind": "complete", "r": r}
     payload.update(x=[format_rational(v) for v in args.x], value=value)
     rows = [[r, "" if j is None else j, value]]

@@ -26,8 +26,9 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 
-from .bell import BellConsistencyError, BellTable
-from .rationals import Rational, _at_least, _dot, _positive, _Record, format_rational
+from . import bell
+from .rationals import BellConsistencyError, Rational, _at_least, _dot, _positive, _Record
+from .rationals import format_rational
 
 # Scans and h_values re-derive a last row up to this r by the Bell triangle.
 RECHECK_MAX_R = 40
@@ -44,7 +45,7 @@ def normalized_term(n: int, l: int) -> Fraction:
 
 
 def alternating_bell_sum(
-    n: int, q: Rational | int, r: int, table: BellTable | None = None
+    n: int, q: Rational | int, r: int, table: bell.BellTable | None = None
 ) -> Fraction:
     """S(n, q, r) = (-1)^r sum_{j=1}^{r} (-q)^j B_{r,j}(x_1..x_r).
 
@@ -56,7 +57,7 @@ def alternating_bell_sum(
     q = _positive(q, "q")
     _at_least(r, 1, "r")
     if table is None:
-        table = BellTable(lambda l: normalized_term(n, l))
+        table = bell.BellTable(lambda l: normalized_term(n, l))
     # q = a/b: b^r S = (-1)^r sum_j (-a)^j b^(r-j) B_{r,j}, one exact sum.
     a, b = q.numerator, q.denominator
     total = _dot([(-a) ** j * b ** (r - j) for j in range(1, r + 1)], table.row(r))
@@ -128,9 +129,9 @@ def _cyclic_rows(n: int, a: int, b: int, r_max: int) -> Iterator[tuple[int, int]
     for m in range(1, r_max + 1):
         nu = _smooth_part(n, m)
         c, f, base = m * b + a, m * b * nu, -(m - 1) * n * b - a * n
-        ts = [(base + k * b) * prev[k] + n * prev[k + 1] for k in range(n)]
-        acc = 0
-        for t in ts:
+        ts, acc = [], 0
+        for k in range(n):
+            ts.append(t := (base + k * b) * prev[k] + n * prev[k + 1])
             acc = acc * c + t
         y, remainder = divmod(f * (acc + a_n * n * prev[0]), c**n - a_n)
         if remainder:
@@ -162,7 +163,7 @@ def _convolution_rows(n: int, a: int, b: int, r_max: int) -> Iterator[tuple[int,
         yield nus[m], y
 
 
-def _recheck(n: int, q: Fraction, r: int, value: Fraction, table: BellTable | None = None) -> None:
+def _recheck(n: int, q: Fraction, r: int, value: Fraction, table: bell.BellTable | None = None):
     """Raise ``BellConsistencyError`` if r <= ``RECHECK_MAX_R`` and the
     kernel's ``value`` of S(n, q, r) differs from ``alternating_bell_sum``."""
     if r <= RECHECK_MAX_R:
@@ -174,7 +175,7 @@ def _recheck(n: int, q: Fraction, r: int, value: Fraction, table: BellTable | No
 
 
 def min_negative_r(
-    n: int, q: Rational | int, r_max: int = 200, table: BellTable | None = None
+    n: int, q: Rational | int, r_max: int = 200, table: bell.BellTable | None = None
 ) -> ScanReport:
     """Scan r = 1, 2, ... for the first negative S(n, q, r).
 
@@ -209,5 +210,5 @@ def scan_grid(n: int, qs: list[Rational | int], r_max: int = 200) -> list[ScanRe
     _at_least(n, 2, "n")
     _at_least(r_max, 1, "r_max")
     checked = [_positive(q, "q") for q in qs]
-    table = BellTable(lambda l: normalized_term(n, l))
+    table = bell.BellTable(lambda l: normalized_term(n, l))
     return [min_negative_r(n, q, r_max, table) for q in checked]

@@ -17,11 +17,8 @@ closed form numerically:
   no knowledge of the product formula: an all-integer recurrence on the
   ordinary coefficients of V = 1 + k0 x u', with a guarded exact division;
 * ``u_coeffs``: the second route's values, checked exactly against the first;
-* ``ClosedFormEvaluator``: double-precision values of u, u', u'' away
-  from 0, via the n-th root t(x) = (1 + n k0 c x)^{1/n} and
-  principal-branch logarithms against the nontrivial n-th roots of
-  unity (the imaginary parts must cancel; a residue above tolerance
-  raises rather than silently returning a wrong branch);
+* ``ClosedFormEvaluator``: double-precision values of u, u', u'' from the
+  closed form, whose imaginary residues are guarded;
 * ``h_values``: the exact constants
   h_r = (1/r!) sum_j m^j B_{r,j}(a_1..a_r) that scale the degree-r
   blocks of e^{m u} - 1, as (c k0)^r / r! S(n, m/k0, r) from ``inequality``.
@@ -222,11 +219,12 @@ class ClosedFormEvaluator:
 
     For x >= 0 the root t is real >= 1 and every log argument stays in
     the half plane Re > 0, so principal branches are safe and the
-    imaginary parts cancel in conjugate pairs. The leftover imaginary
-    residue is checked against ``IMAG_TOL`` on every call; exceeding it
-    means a branch was crossed and raises ``BranchResidueError`` instead
-    of returning a silently wrong value. Out-of-range input raises
-    ``InputError`` (README "Design notes", "The numeric layer is guarded").
+    imaginary parts cancel in conjugate pairs. An imaginary residue of u
+    above ``IMAG_TOL`` means a branch was crossed and raises
+    ``BranchResidueError`` instead of returning a silently wrong value; the
+    u' and u'' sums take no log, so only rounding leaves them a residue,
+    held to ``IMAG_TOL`` times max(1, sum of |term|). Out-of-range input
+    raises ``InputError`` (README "Design notes", "The numeric layer is guarded").
     """
 
     def __init__(self, params: CalabiParams):
@@ -251,14 +249,14 @@ class ClosedFormEvaluator:
             raise InputError(f"the radicand 1 + n k0 c x overflows a double at x={x}")
         return radicand ** (1.0 / self._n)
 
-    def _guard(self, value: complex, x: float, what: str) -> tuple[float, float]:
+    def _guard(self, value: complex, x: float, what: str, size: float = 1.0) -> tuple[float, float]:
         if not math.isfinite(value.real):
             raise InputError(f"{what} is not a finite double at x={x}")
-        residue = abs(value.imag)
-        if not residue <= IMAG_TOL:  # a NaN residue fails too
+        residue, tolerance = abs(value.imag), IMAG_TOL * max(1.0, size)
+        if not residue <= tolerance:  # a NaN residue fails too
             raise BranchResidueError(
                 f"imaginary residue {residue:.3e} in {what} at x={x} "
-                f"exceeds tolerance {IMAG_TOL:.1e}"
+                f"exceeds tolerance {tolerance:.1e}"
             )
         return value.real, residue
 
@@ -284,13 +282,15 @@ class ClosedFormEvaluator:
         dt = (self._slope / self._n) * t ** (1 - self._n)
         d2t = (self._slope / self._n) * (1 - self._n) * t ** (-self._n) * dt
         u_acc, u1_acc, u2_acc = (complex(self._n / self._k0 * v) for v in (t - 1.0, dt, d2t))
+        size1, size2 = abs(u1_acc), abs(u2_acc)  # sum of |term| of the u' and u'' sums
         for root, weight in zip(self._roots, self._weights):  # the u terms exactly as in _u_sum
             gap = t - root
             u_acc -= weight * cmath.log(gap / (1.0 - root))
-            u1_acc -= weight * dt / gap
-            u2_acc -= weight * (d2t / gap - (dt * dt) / (gap * gap))
-        sums = zip((u_acc, u1_acc, u2_acc), ("u", "u'", "u''"))
-        values, residues = zip(*(self._guard(value, x, what) for value, what in sums))
+            term1, term2 = weight * dt / gap, weight * (d2t / gap - (dt * dt) / (gap * gap))
+            u1_acc, u2_acc = u1_acc - term1, u2_acc - term2
+            size1, size2 = size1 + abs(term1), size2 + abs(term2)
+        sums = zip((u_acc, u1_acc, u2_acc), ("u", "u'", "u''"), (1.0, size1, size2))
+        values, residues = zip(*(self._guard(value, x, *rest) for value, *rest in sums))
         return (*values, max(residues))
 
     def condition_report(self, x: float) -> ConditionReport:

@@ -16,8 +16,8 @@ What this module adds is the thin contract layer the rest of the package
 * ``InputError``, the ``ValueError`` of every input value the package
   refuses, and the two range rules the other modules call: ``_at_least``
   (an int >= a bound) and ``_positive`` (``_exact``, then > 0),
-* the potential layer's ``CoefficientMethodMismatch`` and
-  ``BranchResidueError``, here so ``cli.main`` catches them without it,
+* the three consistency errors ``cli.main`` catches, here so catching
+  them loads neither ``potential`` nor ``bell``,
 * strict ``"p/q"`` parsing and rendering (the textual form used in JSON
   and CSV output; decimal strings are rejected so nothing silently goes
   through floating point),
@@ -52,6 +52,11 @@ class CoefficientMethodMismatch(ArithmeticError):
 
 class BranchResidueError(ArithmeticError):
     """Imaginary parts of the closed form failed to cancel within tolerance."""
+
+
+class BellConsistencyError(ArithmeticError):
+    """A scan's integer kernel disagreed with the Bell triangle over x_l
+    (``inequality._recheck``), or one of its exact divisions left a remainder."""
 
 
 def _at_least(value: int, low: int, what: str) -> int:

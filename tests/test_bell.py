@@ -10,13 +10,13 @@ from fractions import Fraction
 import pytest
 
 from calabi_bell.bell import (
-    BellConsistencyError,
     BellTable,
     complete_bell,
     partial_bell_partition,
     partial_bell_recurrence,
 )
 from calabi_bell.inequality import min_negative_r, normalized_term
+from calabi_bell.rationals import BellConsistencyError
 
 
 def random_fractions(rng, count, span=9):

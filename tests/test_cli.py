@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,31 @@ class TestUseries:
             code, out, _ = run_cli(capsys, *args, "--format", fmt)
             assert code == 0
             assert out == text, fmt
+
+    # u''(0) = a_2 = -7284.375 here; its sum of 1,000 complex terms keeps an
+    # imaginary rounding residue near 3e-10, above the absolute IMAG_TOL but
+    # tiny against the sum's size, which the u'' guard is relative to.
+    BIG_U2 = ("useries", "--n", "1000", "--k0", "7/3", "--c", "5/2", "--eval", "0")
+
+    def test_large_second_derivative_is_not_a_branch_failure(self, capsys):
+        code, out, err = run_cli(capsys, *self.BIG_U2)
+        assert (code, err) == (0, "")
+        assert out.startswith("u(0.0) = ")
+        params = potential_mod.CalabiParams(1000, Fraction(7, 3), Fraction(5, 2))
+        u2 = potential_mod.ClosedFormEvaluator(params).derivatives(0.0)[2]
+        assert math.isclose(u2, potential_mod.u_coeffs(params, 2).values[1], rel_tol=1e-9)
+
+    def test_crossed_branch_still_exits_2(self, capsys, monkeypatch):
+        # Logs taken on the branch (-pi, pi] + 2 pi below the real axis: the
+        # u sum carries 2 pi i times a sum of weights, which its absolute
+        # guard catches.
+        log = potential_mod.cmath.log
+        crossed = lambda z: log(z) + (2j * math.pi if z.imag < 0 else 0)  # noqa: E731
+        monkeypatch.setattr(potential_mod.cmath, "log", crossed)
+        code, out, err = run_cli(capsys, *self.BIG_U2)
+        assert (code, out) == (2, "")
+        assert err.startswith("internal consistency failure: imaginary residue ")
+        assert " in u at x=0.0 exceeds tolerance 1.0e-10\n" in err
 
     def test_bad_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "useries", "--n", "1", "--k0", "2", "--c", "1", "--order", "2")

@@ -10,7 +10,7 @@ import pytest
 
 import calabi_bell.inequality as inequality_mod
 import calabi_bell.potential as potential_mod
-from calabi_bell.bell import BellConsistencyError, BellTable
+from calabi_bell.bell import BellTable
 from calabi_bell.cli import main
 from calabi_bell.inequality import (
     alternating_bell_sum,
@@ -19,7 +19,7 @@ from calabi_bell.inequality import (
     scan_grid,
 )
 from calabi_bell.potential import CalabiParams, h_values
-from calabi_bell.rationals import factorial, parse_rational
+from calabi_bell.rationals import BellConsistencyError, factorial, parse_rational
 
 
 def spy_on_bell_rows(monkeypatch):

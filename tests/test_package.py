@@ -418,15 +418,15 @@ def test_cli_import_loads_no_dataclasses_chain():
 LAZY = ("calabi_bell.potential", "calabi_bell.series", "calabi_bell.diastasis")
 
 
-def _run_after(commands: list[list[str]]) -> list[str]:
+def _run_after(commands: list[list[str]], lazy=LAZY, imported=("cmath",)) -> list[str]:
     """The exit codes of ``cli.main`` on ``commands`` in a fresh
-    interpreter, then the ``LAZY`` modules that ran, then ``cmath`` if it
-    was imported."""
+    interpreter, then the ``lazy`` modules that ran, then the modules of
+    ``imported`` that were imported."""
     return _printed_by(
         "import sys, types; import calabi_bell, calabi_bell.cli\n"
         f"codes = [calabi_bell.cli.main(argv) for argv in {commands!r}]\n"
-        f"ran = [name for name in {LAZY!r} if type(sys.modules[name]) is types.ModuleType]\n"
-        "print(*codes, *ran, *{'cmath'} & set(sys.modules))"
+        f"ran = [name for name in {lazy!r} if type(sys.modules[name]) is types.ModuleType]\n"
+        f"print(*codes, *ran, *[name for name in {imported!r} if name in sys.modules])"
     )
 
 
@@ -445,6 +445,32 @@ def test_a_lazy_module_runs_when_a_command_reads_it():
     # Neither runs calabi_bell.series: nothing in the library imports it.
     assert _run_after([hr]) == ["0", "calabi_bell.potential", "cmath"]
     assert _run_after([blocks]) == ["0", "calabi_bell.potential", "calabi_bell.diastasis", "cmath"]
+
+
+# Witness r = 102, past RECHECK_MAX_R: the scan re-checks nothing.
+DEEP_SCAN = ["scan", "--n", "2", "--q", "65", "--rmax", "240"]
+BELL_AND_JSON = {"lazy": ("calabi_bell.bell",), "imported": ("json",)}
+
+
+def test_a_deep_scan_runs_no_bell_module_and_imports_no_json():
+    assert _run_after([DEEP_SCAN, [*DEEP_SCAN, "--format", "csv"]], **BELL_AND_JSON) == ["0", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--n", "2", "--q", "3"],
+        ["scan", "--n", "2", "--grid", "65,66", "--rmax", "240"],
+        ["bell", "--r", "4", "--x", "1,2,3,4"],
+    ],
+    ids=["re-check", "grid", "bell"],
+)
+def test_a_command_that_reads_the_bell_module_runs_it(argv):
+    assert _run_after([argv], **BELL_AND_JSON) == ["0", "calabi_bell.bell"]
+
+
+def test_json_output_imports_json():
+    assert _run_after([[*DEEP_SCAN, "--format", "json"]], **BELL_AND_JSON) == ["0", "json"]
 
 
 # ROADMAP aim 2: the source was 1,958 lines at the start of the round,
