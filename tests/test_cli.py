@@ -229,9 +229,9 @@ class TestUseries:
         assert math.isclose(u2, potential_mod.u_coeffs(params, 2).values[1], rel_tol=1e-9)
 
     def test_crossed_branch_still_exits_2(self, capsys, monkeypatch):
-        # Logs taken on the branch (-pi, pi] + 2 pi below the real axis: the
-        # u sum carries 2 pi i times a sum of weights, which its absolute
-        # guard catches.
+        # A log that adds 2 pi i below the real axis, as a crossed branch
+        # would: the u sum then carries 2 pi i times a sum of weights, which
+        # its absolute guard catches.
         log = potential_mod.cmath.log
         crossed = lambda z: log(z) + (2j * math.pi if z.imag < 0 else 0)  # noqa: E731
         monkeypatch.setattr(potential_mod.cmath, "log", crossed)

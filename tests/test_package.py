@@ -421,12 +421,13 @@ LAZY = ("calabi_bell.potential", "calabi_bell.series", "calabi_bell.diastasis")
 def _run_after(commands: list[list[str]], lazy=LAZY, imported=("cmath",)) -> list[str]:
     """The exit codes of ``cli.main`` on ``commands`` in a fresh
     interpreter, then the ``lazy`` modules that ran, then the modules of
-    ``imported`` that were imported."""
+    ``imported`` that the package or the commands imported."""
     return _printed_by(
-        "import sys, types; import calabi_bell, calabi_bell.cli\n"
+        "import sys, types; bare = set(sys.modules); import calabi_bell, calabi_bell.cli\n"
         f"codes = [calabi_bell.cli.main(argv) for argv in {commands!r}]\n"
         f"ran = [name for name in {lazy!r} if type(sys.modules[name]) is types.ModuleType]\n"
-        f"print(*codes, *ran, *[name for name in {imported!r} if name in sys.modules])"
+        f"new = [name for name in {imported!r} if name in sys.modules and name not in bare]\n"
+        "print(*codes, *ran, *new)"
     )
 
 
