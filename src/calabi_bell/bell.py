@@ -14,10 +14,10 @@ path is the binomial recurrence
 
     B_{r,j} = sum_{i=1}^{r-j+1} C(r-1, i-1) * x_i * B_{r-i, j-1}
 
-with B_{0,0} = 1, which ``BellTable`` memoizes by column, O(r^3) in all, for
-``bell`` and as the oracle of the integer kernel of S and h_r. Both
-recurrences take each inner i-sum as one ``rationals._dot``; in the table
-its B_{r-i,j-1} are one reversed slice of column j-1.
+with B_{0,0} = 1, which ``BellTable`` memoizes by column, O(r^3) in all, as
+the oracle of the integer kernel of S and h_r. ``complete_bell`` runs
+Comtet's Y_{m+1} = sum_{i=0}^{m} C(m, i) x_{i+1} Y_{m-i}, Y_0 = 1, O(r^2).
+Each inner sum is one ``rationals._dot`` over a reversed slice or list.
 """
 
 from __future__ import annotations
@@ -148,7 +148,10 @@ def complete_bell(r: int, values: Sequence[Rational | int]) -> Rational:
     """Complete Bell polynomial Y_r = sum_{j=1}^{r} B_{r,j}(x_1..x_{r-j+1}).
 
     r must be >= 1; the r = 0 convention is deliberately not offered.
+    Comtet's recurrence (module docstring) builds Y_1..Y_r, one sum a row.
     """
     xs = _coerce(values, _at_least(r, 1, "r"))
-    table = BellTable(xs)
-    return sum(table.row(r), Fraction(0))
+    ys = [Fraction(1)]
+    for m in range(r):
+        ys.append(_dot([comb(m, i) * x for i, x in enumerate(xs[: m + 1])], ys[::-1]))
+    return ys[r]
