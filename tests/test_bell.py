@@ -146,6 +146,15 @@ class TestStructure:
             xs = random_fractions(rng, r)
             assert complete_bell(r, xs) == sum(BellTable(xs).row(r))
 
+    def test_complete_matches_plain_fraction_triangle(self):
+        # complete_bell runs Comtet's recurrence; the oracle sums row r of
+        # the plain partial triangle.
+        for seed, span in ((8, 9), (9, 40)):
+            xs = random_fractions(random.Random(seed), 30, span)
+            rows = fraction_triangle(xs, 30)
+            for r in range(1, 31):
+                assert complete_bell(r, xs[:r]) == sum(rows[r])
+
     def test_y2_and_y4_patterns(self):
         rng = random.Random(7)
         for _ in range(20):

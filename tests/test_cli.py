@@ -1,10 +1,12 @@
 """CLI tests: every subcommand and format, exit codes, deterministic
 output, and the emitted JSON read back as the reports' payloads."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 import shlex
 import shutil
 import subprocess
@@ -14,6 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import calabi_bell.cli as cli_mod
 import calabi_bell.diastasis as diastasis_mod
@@ -652,6 +656,86 @@ class TestErrorBoundary:
         done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: n must be an integer >= 2, got 1\n"
+
+
+def _rational_text(low=-40, high=40):
+    """A p/q flag that parses (q >= 1), in or out of the flag's domain."""
+    fraction = st.builds(lambda p, q: f"{p}/{q}", st.integers(low, high), st.integers(1, 12))
+    return st.one_of(st.integers(low, high).map(str), fraction)
+
+
+_FORMATS = st.sampled_from(["table", "json", "csv"])
+_EVAL_POINTS = ["0", "0.3", "1", "7", "100", "1e3", "12345", "0.25", "-1", "nan", "inf"]
+
+
+def _flags(**values):
+    """``--name=value`` flags: ``=`` keeps a value such as ``-4/3`` from
+    reading as an option."""
+    return [f"--{name.rstrip('_')}={value}" for name, value in values.items()]
+
+
+@st.composite
+def _argv(draw, command):
+    """Flags of one subcommand that argparse accepts, with values drawn in
+    and out of the library's domain, so an exit 1 is an ``InputError``."""
+    fmt = _flags(format=draw(_FORMATS))
+    if command == "bell":
+        r = draw(st.integers(-1, 60))
+        xs = draw(st.lists(_rational_text(), min_size=1, max_size=max(r, 0) + 2))
+        j = draw(st.one_of(st.none(), st.integers(-1, 62)))
+        js = _flags(j=j) if j is not None else []
+        return ["bell", *_flags(r=r, x=",".join(xs)), *js, *fmt]
+    if command in ("useries", "hr"):
+        n = draw(st.sampled_from([2, 3, 5, 17, 100, 1000, 2000, 5000, 1, 0]))
+        k0, c = draw(_rational_text(-4, 40)), draw(_rational_text(-4, 40))
+        base = [command, *_flags(n=n, k0=k0, c=c)]
+        if command == "useries" and draw(st.booleans()):
+            return [*base, *_flags(eval=draw(st.sampled_from(_EVAL_POINTS))), *fmt]
+        if command == "useries":
+            method = draw(st.sampled_from(["closed", "ode", "both"]))
+            return [*base, *_flags(order=draw(st.integers(0, 60)), method=method), *fmt]
+        which = {draw(st.sampled_from(["r", "rmax"])): draw(st.integers(-1, 60))}
+        return [*base, *_flags(m=draw(_rational_text(-4, 40)), **which), *fmt]
+    if command == "scan":
+        qs = draw(st.lists(_rational_text(-4, 200), min_size=1, max_size=3))
+        which = _flags(q=qs[0]) if draw(st.booleans()) else _flags(grid=",".join(qs))
+        n, rmax = draw(st.integers(0, 30)), draw(st.integers(-1, 60))
+        return ["scan", *_flags(n=n), *which, *_flags(rmax=rmax), *fmt]
+    values = dict(
+        d=draw(st.integers(0, 6)),
+        lambda_=draw(st.integers(0, 4)),
+        c=draw(_rational_text(-4, 40)),
+        rmax=draw(st.integers(-1, 30)),
+        cutoff=draw(st.integers(0, 8)),
+    )
+    return ["blocks", *_flags(**values), *fmt]
+
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+class TestExitCodeContract:
+    """Every subcommand exits 0 or 1 on any input argparse accepts. Exit 1
+    is a refused value: one ``error:`` line and no stdout. Exit 0 prints no
+    ``nan`` or ``inf``. Exit 2, a real internal disagreement, is reached only
+    by the fault-injection tests. Seeded and capped, so Tier-1 stays fast."""
+
+    @pytest.mark.parametrize("command", ["bell", "useries", "hr", "scan", "blocks"])
+    def test_exit_code_contract(self, command):
+        @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+        @given(_argv(command))
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1), (argv, code, err.getvalue())
+            if code == 1:
+                assert out.getvalue() == "", argv
+                assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), (argv, err.getvalue())
+            else:
+                assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+
+        check()
 
 
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text())

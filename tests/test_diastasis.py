@@ -4,6 +4,7 @@ and the block scan on the projective line."""
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -136,6 +137,62 @@ class TestCoeffMatrix:
             fs_power_matrix(1, 0.5, 2)
 
 
+def _det(matrix):
+    """Exact determinant by Gaussian elimination on the first nonzero pivot."""
+    m = [list(row) for row in matrix]
+    det = Fraction(1)
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            m[k], m[p], det = m[p], m[k], -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            for j in range(k, len(m)):
+                m[i][j] -= f * m[k][j]
+    return det
+
+
+def _sylvester_psd(matrix):
+    """Sylvester's criterion: a symmetric matrix is PSD iff every principal
+    minor, not only the leading ones, is >= 0."""
+    size = len(matrix)
+    subsets = (s for k in range(1, size + 1) for s in itertools.combinations(range(size), k))
+    return all(_det([[matrix[i][j] for j in s] for i in s]) >= 0 for s in subsets)
+
+
+def _oracle_matrices(count, seed):
+    """(kind, matrix) pairs cycling through three kinds: 0, a rank-deficient
+    Gram matrix (PSD); 1, a Gram matrix with one positive diagonal entry
+    lowered (often indefinite); 2, a Gram matrix with one row and column
+    zeroed and one nonzero entry put back off the diagonal (never PSD; at
+    low rank it reaches the elimination's zero-pivot rule)."""
+    rng = random.Random(seed)
+    for index in range(count):
+        kind = index % 3
+        size = rng.randint(2 if kind == 2 else 1, 6)
+        rank = rng.randint(1, size) if kind == 1 else rng.randint(0, size - 1)
+        b = [[_small_fraction(rng) for _ in range(rank)] for _ in range(size)]
+        gram = [[sum(map(operator.mul, u, v), Fraction(0)) for v in b] for u in b]
+        if kind == 1:
+            positive = [i for i in range(size) if gram[i][i] > 0]
+            if positive:
+                t = rng.choice(positive)
+                gram[t][t] *= Fraction(rng.randint(1, 9), 10)
+        elif kind == 2:
+            t, u = rng.sample(range(size), 2)
+            for i in range(size):
+                gram[t][i] = gram[i][t] = Fraction(0)
+            gram[t][u] = gram[u][t] = _small_fraction(rng) or Fraction(1)
+        yield kind, gram
+
+
+def _small_fraction(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
 class TestPsdCheck:
     def test_diagonal_matrices(self):
         assert psd_check(fs_power_matrix(1, 3, 3)) == "PSD"
@@ -188,6 +245,19 @@ class TestPsdCheck:
                 for i in range(size)
             ]
             assert psd_check(shifted) == "not-PSD"
+
+    def test_dense_verdicts_match_sylvester(self):
+        # 600 seeded symmetric matrices of size 1-6, a third of each kind.
+        # Sylvester's criterion reads the determinant of every principal
+        # submatrix, so it shares no pivot rule with the elimination.
+        verdicts = {kind: [] for kind in range(3)}
+        for kind, matrix in _oracle_matrices(600, seed=44):
+            expected = "PSD" if _sylvester_psd(matrix) else "not-PSD"
+            assert psd_check(matrix) == expected, matrix
+            verdicts[kind].append(expected)
+        assert set(verdicts[0]) == {"PSD"}
+        assert set(verdicts[1]) == {"PSD", "not-PSD"}
+        assert set(verdicts[2]) == {"not-PSD"}
 
     def test_dense_validation(self):
         with pytest.raises(ValueError):
