@@ -15,8 +15,9 @@ it to ``_emit`` with generators of the CSV rows and the table lines over
 it; only the ``--format`` asked for is rendered. Exact quantities are
 printed as ``p/q``.
 
-One parser serves a process: built on the first ``main`` call, never at
-import. ``main`` finds ``_cmd_<subcommand>`` by name on each call.
+One parser serves a process, built on the first ``main`` call. A call is
+parsed once: by the parser of the subcommand its first word names, else by
+the top-level one. ``main`` finds ``_cmd_<subcommand>`` by name on each call.
 
 The handlers check only the CLI's own rules, ``RMAX_CEILING``,
 ``ORDER_CEILING`` and "``--order`` unless ``--eval``"; every rule on a
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument("--r", type=int, required=True, help="total index r >= 1")
     p_bell.add_argument("--j", type=int, help="block count; omit for the complete polynomial")
     p_bell.add_argument(
-        "--x", type=_rational_list_arg, required=True, help="comma-separated rationals x_1,x_2,..."
+        "--x", type=_rational_list_arg, required=True, help="x_1,x_2,...; write --x=-1,2 if x_1 < 0"
     )
 
     p_useries = subparsers.add_parser(
@@ -295,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = subparsers.add_parser("scan", help="first negative alternating Bell sum")
     p_scan.add_argument("--n", type=int, required=True, help="base dimension, >= 2")
     q_or_grid = p_scan.add_mutually_exclusive_group(required=True)
-    q_or_grid.add_argument("--q", type=_rational_arg, help="twist ratio m/k0, p/q > 0")
+    q_or_grid.add_argument("--q", type=_rational_arg, help="twist ratio m/k0 > 0; --q=-1/2 if signed")
     q_or_grid.add_argument(
-        "--grid", type=_rational_list_arg, help="comma-separated q values, scanned in turn"
+        "--grid", type=_rational_list_arg, help="q values, scanned in turn; --grid=-1,2 if q_1 < 0"
     )
     p_scan.add_argument("--rmax", type=int, default=200, help="scan cap (default 200)")
 
@@ -314,15 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--cutoff", type=int, default=6, help="monomial degree cutoff (default 6)"
     )
 
-    for p in subparsers.choices.values():
+    for name, p in subparsers.choices.items():
         p.add_argument("--format", choices=FORMATS, default="table", help="output format")
-
+        p.set_defaults(command=name)
+    parser.commands = subparsers.choices
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    sub = build_parser().commands.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        args = sub.parse_args(argv[1:]) if sub else build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

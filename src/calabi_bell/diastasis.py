@@ -52,12 +52,12 @@ class FubiniStudyBase(_Record):
 
     @property
     def half_k0_integral(self) -> bool:
-        half = self.k0 / 2
-        return half.denominator == 1 and half > 0
+        return (self.d + 1) % self.multiple == 0  # k0/2 = (d + 1)/lambda > 0
 
     def exponent_for(self, r: int, m: int) -> Fraction:
-        """The Fubini-Study power N = lambda (r k0/2 + m) of the degree-r block."""
-        return self.multiple * (Fraction(r) * self.k0 / 2 + m)
+        """The degree-r block's power N = lambda (r k0/2 + m) = r (d + 1) + lambda m,
+        an integer for every base."""
+        return Fraction(r * (self.d + 1) + self.multiple * m)
 
 
 def monomial_indices(d: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
@@ -110,9 +110,9 @@ def fs_power_matrix(d: int, exponent: Rational | int, cutoff: int) -> CoeffMatri
 
 
 def fs_coeff_matrix(base: FubiniStudyBase, r: int, m: int, cutoff: int) -> CoeffMatrix:
-    """The degree-r base block for twist multiple m (exponent computed
-    from the base normalization; always a positive integer for a valid
-    base, so these are PSD with the obstruction carried by the scale)."""
+    """The degree-r base block for twist multiple m. Its exponent
+    ``base.exponent_for(r, m)`` is a positive integer for every base, so
+    these are PSD, with the obstruction carried by the scale."""
     _at_least(r, 0, "r")
     _at_least(m, 1, "m")
     return fs_power_matrix(base.d, base.exponent_for(r, m), cutoff)

@@ -108,10 +108,7 @@ def parse_rational(text: str) -> Rational:
 
 def format_rational(value: Rational | int) -> str:
     """Render as ``"p/q"`` with the sign on p; bare ``"p"`` when q == 1."""
-    value = _exact(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(_exact(value))
 
 
 def generalized_binomial(a: Rational | int, k: int) -> Rational:
