@@ -55,8 +55,7 @@ class FubiniStudyBase(_Record):
         return (self.d + 1) % self.multiple == 0  # k0/2 = (d + 1)/lambda > 0
 
     def exponent_for(self, r: int, m: int) -> Fraction:
-        """The degree-r block's power N = lambda (r k0/2 + m) = r (d + 1) + lambda m,
-        an integer for every base."""
+        """The degree-r block's power N = lambda (r k0/2 + m) = r (d + 1) + lambda m, an integer."""
         return Fraction(r * (self.d + 1) + self.multiple * m)
 
 

@@ -798,6 +798,17 @@ class TestJsonWriter:
         value = json.loads(case["stdout"])
         assert cli_mod._json(value) == json.dumps(value, indent=2) == case["stdout"][:-1]
 
+    def test_negative_first_x_attached_with_equals(self, capsys):
+        assert run_cli(capsys, "bell", "--r", "2", "--x=-1,2") == (0, "3\n", "")
+
+    def test_negative_first_x_after_a_space_is_usage_error(self, capsys):
+        # argparse takes "-1,2" for a flag, so --x gets no value.
+        code, out, err = run_cli(capsys, "bell", "--r", "2", "--x", "-1,2")
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "calabi-bell bell: error: argument --x: expected one argument"
+        ]
+
     def test_every_payload_kind_is_covered(self):
         commands = {case["argv"][0] for case in JSON_CASES}
         assert commands == {"bell", "useries", "hr", "scan", "blocks"}
@@ -861,6 +872,84 @@ class TestSharedParser:
             timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, case["stdout"], "")
+
+
+class TestParsePaths:
+    """A call whose first word names a subcommand is parsed once, by that
+    subcommand's parser; any other call by the top-level parser."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["--", "scan", "--n", "2", "--q", "1"],
+            ["scan", "--n", "2", "--q", "1", "extra"],
+            ["blocks", "--d", "1", "--lambda", "2", "--c", "1", "x", "y"],
+        ],
+    )
+    def test_usage_error_exits_one_with_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["scan", "-h"], ["blocks", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: calabi-bell {argv[0]}" if len(argv) == 2 else "usage: ")
+
+    def test_extra_argument_is_reported_by_the_subcommand(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--n", "2", "--q", "1", "extra")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: calabi-bell scan [-h] --n N (--q Q | --grid GRID)")
+        assert err.endswith("\ncalabi-bell scan: error: unrecognized arguments: extra\n")
+
+    def test_unknown_command_is_reported_by_the_top_level(self, capsys):
+        code, out, err = run_cli(capsys, "frobnicate")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: calabi-bell [-h] {bell,useries,hr,scan,blocks} ...\n")
+        assert "calabi-bell: error: argument command: invalid choice: 'frobnicate'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--n", "2", "--q", "1/2", "--rmax", "10"],
+            ["blocks", "--d", "1", "--lambda", "2", "--c", "1", "--format", "csv"],
+            ["bell", "--r", "2", "--x", "-1,2"],
+            ["scan", "--n", "2", "--q", "1", "extra"],
+            ["hr", "--n", "2", "--k0", "2", "--c", "1", "--m", "1", "--r", "0"],
+            [],
+            ["frobnicate"],
+            ["-h"],
+            ["scan", "-h"],
+            ["--", "scan", "--n", "2", "--q", "1"],
+        ],
+    )
+    def test_one_parse_per_call(self, capsys, monkeypatch, argv):
+        # parse_args runs parse_known_args on its own parser; the top-level
+        # parser would run the subcommand's parse_known_args as well.
+        build_parser()
+        calls = {"parse_args": [], "parse_known_args": []}
+        for name in calls:
+            original = getattr(cli_mod._Parser, name)
+
+            def spy(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name].append(self.prog)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cli_mod._Parser, name, spy)
+        run_cli(capsys, *argv)
+        named = argv and argv[0] in {"bell", "useries", "hr", "scan", "blocks"}
+        prog = f"calabi-bell {argv[0]}" if named else "calabi-bell"
+        assert calls == {"parse_args": [prog], "parse_known_args": [prog]}
+
+    def test_handler_reads_the_command_on_both_paths(self, capsys):
+        top = build_parser().parse_args(["scan", "--n", "2", "--q", "1"])
+        sub = build_parser().commands["scan"].parse_args(["--n", "2", "--q", "1"])
+        assert vars(top) == vars(sub) == {
+            "command": "scan", "n": 2, "q": Fraction(1), "grid": None, "rmax": 200, "format": "table"
+        }
 
 
 def _readme_examples() -> list[tuple[str, list[str]]]:

@@ -43,6 +43,31 @@ class TestBase:
                         assert value.denominator == 1 and value >= 1
                         assert value == r * (d + 1) + multiple * m
 
+    def test_integer_forms_match_the_fraction_definitions(self):
+        # N = lambda (r k0/2 + m) and "k0/2 is a positive integer", written
+        # with k0 = 2 (d + 1) / lambda, over bases that pass and fail.
+        failing = 0
+        for d in range(1, 9):
+            for multiple in range(1, 7):
+                base = FubiniStudyBase(d, multiple)
+                half = base.k0 / 2
+                assert base.half_k0_integral == (half.denominator == 1)
+                failing += not base.half_k0_integral
+                for r in range(31):
+                    for m in range(1, 4):
+                        value = base.exponent_for(r, m)
+                        assert type(value) is Fraction
+                        assert value == multiple * (Fraction(r) * base.k0 / 2 + m)
+        assert failing == 29
+
+    def test_block_matrices_match_the_fraction_exponent(self):
+        for d, multiple, r, m in itertools.product((1, 2, 3), (1, 2, 3, 4), range(6), (1, 2)):
+            base = FubiniStudyBase(d, multiple)
+            exponent = multiple * (Fraction(r) * base.k0 / 2 + m)
+            block = fs_coeff_matrix(base, r, m, 4)
+            assert block == fs_power_matrix(d, exponent, 4)
+            assert psd_check(block) == "PSD"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FubiniStudyBase(0, 1)

@@ -71,6 +71,27 @@ class TestParseFormat:
     def test_round_trip(self, value):
         assert parse_rational(format_rational(value)) == value
 
+    @pytest.mark.parametrize(
+        "value",
+        [0, 7, -7, 10**12, Fraction(-1, 2), "6/4", "-10/25", " +14 / 21 ", "-0/5", "9/3",
+         10**999, -(10**999) + 1, Fraction(10**999 + 1, 3 * 10**998), f"-{10**999}/{2 * 10**500}"],
+    )
+    def test_format_is_str_of_the_fraction(self, value):
+        exact = Fraction(value.replace(" ", "")) if isinstance(value, str) else Fraction(value)
+        text = format_rational(value)
+        assert text == str(exact)
+        assert parse_rational(text) == exact
+
+    def test_format_of_1000_digit_values(self):
+        rng = random.Random(20261022)
+        for _ in range(20):
+            p = rng.choice((-1, 1)) * rng.randrange(10**999, 10**1000)
+            q = rng.randrange(1, 10**1000)
+            for value in (p, Fraction(p, q)):
+                text = format_rational(value)
+                assert text == str(Fraction(value))
+                assert parse_rational(text) == value
+
     def test_round_trip_seeded(self):
         rng = random.Random(20260814)
         for _ in range(200):
