@@ -17,7 +17,8 @@ path is the binomial recurrence
 with B_{0,0} = 1, which ``BellTable`` memoizes by column, O(r^3) in all, as
 the oracle of the integer kernel of S and h_r. ``complete_bell`` runs
 Comtet's Y_{m+1} = sum_{i=0}^{m} C(m, i) x_{i+1} Y_{m-i}, Y_0 = 1, O(r^2).
-Each inner sum is one ``rationals._dot`` over a reversed slice or list.
+Each triangle sum is one ``rationals._dot``; each recurrence row is one
+integer sum of products over a common denominator (``rationals._common``).
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
-from .rationals import InputError, Rational, _at_least, _dot, _exact
+from .rationals import InputError, Rational, _at_least, _common, _dot, _exact
 
 
 def _check_indices(r: int, j: int) -> None:
@@ -85,16 +87,16 @@ def partial_bell_recurrence(r: int, j: int, values: Sequence[Rational | int]) ->
     as small j.
     """
     _check_indices(r, j)
-    xs = _coerce(values, r - j + 1)
     top = r - j
-    # level[g] = B_{jj+g, jj} for the current jj; at jj = 1 it is x_{g+1}.
+    *_, (xs, den) = _common(_coerce(values, top + 1))
+    # x_i = n_i / D, and B_{r,j} is homogeneous of degree j: level[g] = D^jj B_{jj+g, jj}.
     level = xs
     for jj in range(2, j + 1):
         below, level = level, []
         for g in range(top + 1) if jj < j else (top,):
-            weighted = [comb(jj + g - 1, i) * x for i, x in enumerate(xs[: g + 1])]
-            level.append(_dot(weighted, below[g::-1]))
-    return level[-1]
+            weighted = map(mul, [comb(jj + g - 1, i) for i in range(g + 1)], xs)
+            level.append(sum(map(mul, weighted, below[g::-1])))
+    return Fraction(level[-1], den**j)
 
 
 class BellTable:
@@ -152,6 +154,7 @@ def complete_bell(r: int, values: Sequence[Rational | int]) -> Rational:
     """
     xs = _coerce(values, _at_least(r, 1, "r"))
     ys = [Fraction(1)]
-    for m in range(r):
-        ys.append(_dot([comb(m, i) * x for i, x in enumerate(xs[: m + 1])], ys[::-1]))
+    for m, ((x, dx), (y, dy)) in enumerate(zip(_common(xs), _common(ys))):
+        weighted = map(mul, [comb(m, i) for i in range(m + 1)], x)
+        ys.append(Fraction(sum(map(mul, weighted, reversed(y))), dx * dy))
     return ys[r]

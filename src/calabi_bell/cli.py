@@ -9,11 +9,9 @@ and ``inequality``: handlers read the lazy ``bell``, ``potential`` and
 ``diastasis`` where they use them (``scan`` runs ``bell`` only to re-check
 r <= 40 or for ``--grid``), and only JSON output imports ``json``.
 
-Each handler builds its JSON payload once (for ``scan`` and ``blocks``,
-the report's ``to_dict()``), the one source of rendered strings, and hands
-it to ``_emit`` with generators of the CSV rows and the table lines over
-it; only the ``--format`` asked for is rendered. Exact quantities are
-printed as ``p/q``.
+JSON is the library's payload, built only for ``--format json``; table and
+CSV lines come straight from the records the library returns. Every exact
+value, in every format, is written by ``format_rational``, as ``p/q``.
 
 One parser serves a process, built on the first ``main`` call. A call is
 parsed once: by the parser of the subcommand its first word names, else by
@@ -35,6 +33,7 @@ import functools
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import starmap
 
 from . import bell, diastasis, potential
 from .inequality import min_negative_r, scan_grid
@@ -79,47 +78,43 @@ def _check_ceiling(value: int, name: str, ceiling: str = "RMAX_CEILING") -> None
         raise InputError(f"{name} {value} is above the work ceiling {ceiling} = {limit}")
 
 
-def _emit(fmt: str, payload, columns: list[str], rows: Iterable, table: Iterable[str]) -> int:
-    """Write a command's output once, in the chosen format: the JSON
-    ``payload`` (dict or list), CSV lines of ``columns`` and ``rows`` (no
-    field needs quoting), or the ``table`` lines. ``rows`` and ``table``
-    may be generators, even one shared: only the chosen format reads them."""
-    if fmt == "csv":
-        table = (",".join(map(str, row)) for row in (columns, *rows))
-    sys.stdout.write((_json(payload) if fmt == "json" else "\n".join(table)) + "\n")
+def _emit(fmt: str, payload, csv: Iterable[str], table: Iterable[str]) -> int:
+    """Write a command's output once, in the chosen format, built only then:
+    the JSON of ``payload()`` (dict or list), or the ``csv`` or ``table``
+    lines, which may read one shared generator of rows."""
+    text = _json(payload()) if fmt == "json" else "\n".join(csv if fmt == "csv" else table)
+    sys.stdout.write(text + "\n")
     return 0
 
 
 def _json(payload) -> str:
     """``json.dumps(payload, indent=2)`` without its pure-Python encoder:
-    containers are indented here, str leaves go through the C
-    ``encode_basestring_ascii`` and ints through ``int.__repr__``."""
+    containers are indented here and write their str leaves (by the C
+    ``encode_basestring_ascii``) and int leaves (``int.__repr__``) inline."""
     import json.encoder
     esc = json.encoder.encode_basestring_ascii
+    leaf = {str: esc, int: int.__repr__}.get
 
     def render(value, indent: str) -> str:
-        if isinstance(value, str):
-            return esc(value)
-        if type(value) is int:
-            return int.__repr__(value)
         if not value or not isinstance(value, (dict, list)):
             return json.dumps(value)
         inner = indent + "  "
         if isinstance(value, dict):
-            items = [f"{esc(k)}: {render(v, inner)}" for k, v in value.items()]
+            items = [
+                f"{esc(k)}: {f(v) if (f := leaf(type(v))) else render(v, inner)}"
+                for k, v in value.items()
+            ]
             return "{" + inner + f",{inner}".join(items) + indent + "}"
-        return "[" + inner + f",{inner}".join([render(v, inner) for v in value]) + indent + "]"
+        items = [f(v) if (f := leaf(type(v))) else render(v, inner) for v in value]
+        return "[" + inner + f",{inner}".join(items) + indent + "]"
 
     return render(payload, "\n")
 
 
-def _tab(columns: list[str], rows: Iterable[list]) -> Iterator[str]:
-    """Tab-separated table lines: a header of ``columns``, then the rows."""
-    yield "\t".join(columns)
-    yield from ("\t".join(map(str, line)) for line in rows)
-
-
-# -- bell -----------------------------------------------------------------
+def _lines(sep: str, columns: list[str], rows: Iterable[tuple]) -> Iterator[str]:
+    """``columns``, then each row of str, int or float fields, joined by ``sep``."""
+    yield sep.join(columns)
+    yield from starmap(sep.join(["{}"] * len(columns)).format, rows)
 
 
 def _cmd_bell(args) -> int:
@@ -131,15 +126,11 @@ def _cmd_bell(args) -> int:
         value = format_rational(bell.complete_bell(r, args.x))
         payload = {"kind": "complete", "r": r}
     payload.update(x=[format_rational(v) for v in args.x], value=value)
-    rows = [[r, "" if j is None else j, value]]
-    return _emit(args.format, payload, ["r", "j", "value"], rows, [value])
+    return _emit(args.format, lambda: payload, ["r,j,value", f"{r},{j or ''},{value}"], [value])
 
 
-# -- useries ---------------------------------------------------------------
-
-
-def _params_payload(params: potential.CalabiParams) -> dict:
-    return {"n": params.n, "k0": format_rational(params.k0), "c": format_rational(params.c)}
+def _payload(params: potential.CalabiParams, **fields) -> dict:
+    return dict(n=params.n, k0=format_rational(params.k0), c=format_rational(params.c), **fields)
 
 
 def _cmd_useries(args) -> int:
@@ -152,13 +143,13 @@ def _cmd_useries(args) -> int:
     route = {"closed": "u_coeffs_closed", "ode": "u_coeffs_ode", "both": "u_coeffs"}[args.method]
     seq = getattr(potential, route)(params, args.order)
     rendered = [format_rational(v) for v in seq.values]
-    payload = {**_params_payload(params), "order": args.order, "method": args.method}
-    payload["values"] = rendered
+    payload = _payload(params, order=args.order, method=args.method, values=rendered)
     lines = [rendered]  # each table line joins its items with ", "
     if args.method == "both":
         payload["methods_agree"] = True
         lines.append(["methods agree"])
-    return _emit(args.format, payload, ["j", "a"], enumerate(rendered, 1), map(", ".join, lines))
+    csv = _lines(",", ["j", "a"], enumerate(rendered, 1))
+    return _emit(args.format, lambda: payload, csv, map(", ".join, lines))
 
 
 def _useries_eval(params: potential.CalabiParams, args) -> int:
@@ -166,22 +157,15 @@ def _useries_eval(params: potential.CalabiParams, args) -> int:
     evaluator = potential.ClosedFormEvaluator(params)
     value, residue = evaluator.u_with_residue(x)
     report = evaluator.condition_report(x)
-    values = {
-        "x": x,
-        "u": value,
-        "imaginary_residue": residue,
-        "horizontal_factor": report.horizontal_factor,
-        "fiber_factor": report.fiber_factor,
-        "ode_residual": report.ode_residual,
-    }
-    table = (
-        f"u({x!r}) = {v!r}" if k == "u" else f"{k} = {v!r}" for k, v in values.items() if k != "x"
+    row = dict(
+        x=x, u=value, imaginary_residue=residue, horizontal_factor=report.horizontal_factor,
+        fiber_factor=report.fiber_factor, ode_residual=report.ode_residual,
     )
-    payload = {**_params_payload(params), **values}
-    return _emit(args.format, payload, list(values), [values.values()], table)
-
-
-# -- hr ---------------------------------------------------------------------
+    table = (
+        f"u({x!r}) = {v!r}" if k == "u" else f"{k} = {v!r}" for k, v in row.items() if k != "x"
+    )
+    csv = _lines(",", list(row), [row.values()])
+    return _emit(args.format, lambda: _payload(params, **row), csv, table)
 
 
 def _cmd_hr(args) -> int:
@@ -189,63 +173,67 @@ def _cmd_hr(args) -> int:
     r_max = args.r if args.r is not None else args.rmax
     _check_ceiling(r_max, "--r/--rmax")
     values = potential.h_values(params, args.m, r_max)
-    indexed = [(r_max, values[-1])] if args.r is not None else enumerate(values, 1)
-    hs = [{"r": r, "h": format_rational(h)} for r, h in indexed]
-    payload = {**_params_payload(params), "m": format_rational(args.m), "values": hs}
-    rows = ([h["r"], h["h"]] for h in hs)
-    table = (h["h"] for h in hs) if args.r is not None else _tab(["r", "h"], rows)
-    return _emit(args.format, payload, ["r", "h"], rows, table)
+    rows = ((r, format_rational(h)) for r, h in enumerate(values, 1) if args.r in (None, r))
+    hs = ({"r": r, "h": h} for r, h in rows)
+    payload = lambda: _payload(params, m=format_rational(args.m), values=list(hs))
+    table = (h for _, h in rows) if args.r is not None else _lines("\t", ["r", "h"], rows)
+    return _emit(args.format, payload, _lines(",", ["r", "h"], rows), table)
 
 
-# -- scan --------------------------------------------------------------------
+def _scan_lines(reports: list, sep: str, grid: bool = False) -> Iterator[str]:
+    """A header, then each row r, S of the ``ScanReport``s, joined by
+    ``sep``; with ``grid``, each line starts with the row's q. One f-string
+    a row, not ``_lines``: scans write the most rows, and this is faster."""
+    yield f"q{sep}r{sep}S" if grid else f"r{sep}S"
+    for report in reports:
+        q = f"{format_rational(report.q)}{sep}" if grid else ""
+        yield from (f"{q}{r}{sep}{format_rational(s)}" for r, s in report.rows)
 
 
-def _scan_table(scans: list[dict]) -> Iterator[str]:
-    """The table lines of ``ScanReport.to_dict()`` payloads, a blank line between two."""
-    for i, scan in enumerate(scans):
+def _scan_table(reports: list) -> Iterator[str]:
+    """The table lines of ``ScanReport``s, a blank line between two."""
+    for i, report in enumerate(reports):
         if i:
             yield ""
-        yield f"n = {scan['n']}  q = {scan['q']}  r_max = {scan['r_max']}"
-        yield from _tab(["r", "S"], ([row["r"], row["S"]] for row in scan["rows"]))
-        none = f"none (no sign failure through r_max = {scan['r_max']})"
-        yield f"min_negative_r = {scan.get('min_negative_r', none)}"
+        yield f"n = {report.n}  q = {format_rational(report.q)}  r_max = {report.r_max}"
+        yield from _scan_lines([report], "\t")
+        none = f"none (no sign failure through r_max = {report.r_max})"
+        yield f"min_negative_r = {report.min_negative_r or none}"  # a witness r is >= 1
 
 
 def _cmd_scan(args) -> int:
     _check_ceiling(args.rmax, "--rmax")
     if args.grid is not None:
-        scans = [report.to_dict() for report in scan_grid(args.n, list(args.grid), args.rmax)]
-        rows = ([scan["q"], row["r"], row["S"]] for scan in scans for row in scan["rows"])
-        return _emit(args.format, scans, ["q", "r", "S"], rows, _scan_table(scans))
-    scan = min_negative_r(args.n, args.q, args.rmax).to_dict()
-    rows = ([row["r"], row["S"]] for row in scan["rows"])
-    return _emit(args.format, scan, ["r", "S"], rows, _scan_table([scan]))
+        reports = scan_grid(args.n, list(args.grid), args.rmax)
+        payload = lambda: [report.to_dict() for report in reports]
+        return _emit(args.format, payload, _scan_lines(reports, ",", True), _scan_table(reports))
+    report = min_negative_r(args.n, args.q, args.rmax)
+    return _emit(args.format, report.to_dict, _scan_lines([report], ","), _scan_table([report]))
 
 
-# -- blocks -------------------------------------------------------------------
+_BLOCK_COLUMNS = ["r", "exponent", "scale", "verdict"]
 
 
 def _cmd_blocks(args) -> int:
     _check_ceiling(args.rmax, "--rmax")
     base = diastasis.FubiniStudyBase(args.d, args.multiple)
-    payload = diastasis.eh_block_scan(base, args.c, args.rmax, args.cutoff).to_dict()
-    columns = ["r", "exponent", "scale", "verdict"]
-    rows = ([block[name] for name in columns] for block in payload.get("blocks", []))
-    return _emit(args.format, payload, columns, rows, _blocks_table(payload, columns, rows))
+    report = diastasis.eh_block_scan(base, args.c, args.rmax, args.cutoff)
+    fields = lambda b: (b.r, format_rational(b.exponent), format_rational(b.scale), b.verdict)
+    rows = map(fields, report.blocks)
+    csv = _lines(",", _BLOCK_COLUMNS, rows)
+    return _emit(args.format, report.to_dict, csv, _blocks_table(report, rows))
 
 
-def _blocks_table(scan: dict, columns: list[str], rows: Iterable[list]) -> Iterator[str]:
-    """The table lines of one ``BlockScanReport.to_dict()`` with its CSV ``rows``."""
-    yield "d = {d}  lambda = {lambda}  k0 = {k0}  c = {c}  cutoff = {cutoff}".format_map(scan)
-    if scan["integrality_failure"]:
-        yield f"integrality failure: {scan['failure_reason']}"
+def _blocks_table(scan, rows: Iterable[tuple]) -> Iterator[str]:
+    """The table lines of one ``BlockScanReport`` with its CSV ``rows``."""
+    k0, c = format_rational(scan.k0), format_rational(scan.c)
+    yield f"d = {scan.d}  lambda = {scan.multiple}  k0 = {k0}  c = {c}  cutoff = {scan.cutoff}"
+    if scan.integrality_failure:
+        yield f"integrality failure: {scan.failure_reason}"
         return
-    yield from _tab(columns, rows)
-    none = f"none (all scales non-negative through r_max = {scan['r_max']})"
-    yield f"first_negative_r = {scan.get('first_negative_r', none)}"
-
-
-# -- wiring --------------------------------------------------------------------
+    yield from _lines("\t", _BLOCK_COLUMNS, rows)
+    none = f"none (all scales non-negative through r_max = {scan.r_max})"
+    yield f"first_negative_r = {scan.first_negative_r or none}"  # a witness r is >= 1
 
 
 @functools.cache

@@ -18,13 +18,13 @@ What this module adds is the thin contract layer the rest of the package
   (an int >= a bound) and ``_positive`` (``_exact``, then > 0),
 * the three consistency errors ``cli.main`` catches, here so catching
   them loads neither ``potential`` nor ``bell``,
-* strict ``"p/q"`` parsing and rendering (the textual form used in JSON
-  and CSV output; decimal strings are rejected so nothing silently goes
-  through floating point),
+* strict ``"p/q"`` parsing and rendering (the textual form used in every
+  output format; decimal strings, and p or q past the interpreter's
+  int-string digit limit, are refused),
 * generalized binomial coefficients with rational upper argument
   (non-integer diastasis exponents),
-* ``_dot``, the exact sum of products of the Bell recurrences (the
-  series layer keeps its operands as ints over a common denominator),
+* ``_dot``, the Bell triangle's exact sum of products, and ``_common``,
+  ints over a running common denominator (Bell recurrences, series),
 * ``_Record``, the base of the package's immutable value classes.
 """
 
@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Sequence
+import sys
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import factorial
 
@@ -97,10 +98,10 @@ def parse_rational(text: str) -> Rational:
     match = _RATIONAL_RE.match(text)
     if match is None:
         raise InputError(f"not a rational 'p/q': {text!r}")
-    numerator = int(match.group(1))
-    if match.group(2) is None:
-        return Fraction(numerator)
-    denominator = int(match.group(2))
+    try:
+        numerator, denominator = int(match.group(1)), int(match.group(2) or 1)
+    except ValueError:  # the pattern leaves only the interpreter's digit limit to break
+        raise InputError(f"p or q is past the digit limit {sys.get_int_max_str_digits()}") from None
     if denominator == 0:
         raise InputError(f"zero denominator: {text!r}")
     return Fraction(numerator, denominator)
@@ -137,6 +138,18 @@ def _dot(xs: Sequence[Rational | int], ys: Sequence[Rational | int]) -> Fraction
             g = math.gcd(den, pd)
             num, den = num * (pd // g) + xn * yn * (den // g), den // g * pd
     return Fraction(num, den)
+
+
+def _common(values: Iterable[Fraction]) -> Iterator[tuple[list[int], int]]:
+    """Yield (nums, den) after each value: the values so far as ints over their lcm den."""
+    nums, den = [], 1
+    for value in values:
+        grow = value.denominator // math.gcd(den, value.denominator)
+        if grow != 1:
+            nums = [x * grow for x in nums]
+            den *= grow
+        nums.append(value.numerator * (den // value.denominator))
+        yield nums, den
 
 
 class _Record:

@@ -5,7 +5,7 @@ Arithmetic truncates at the smaller order of the two operands (the honest
 order: higher coefficients of the product are not fully determined), and
 scalar operations keep the order unchanged. Everything is exact; there is
 no floating-point coefficient mode. Products and ``exp_of`` hold each
-operand as Python ints over one running common denominator (``_common``),
+operand as ints over a running common denominator (``rationals._common``),
 so each output coefficient is one integer sum of products, normalized once.
 ``taylor_series`` and ``condition_series_residual`` expand the radial
 potential of ``potential`` and its defining condition.
@@ -14,12 +14,12 @@ potential of ``potential`` and its defining condition.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import mul
 
 from .potential import CalabiParams, CoefficientSequence, u_coeffs_ode
-from .rationals import InputError, Rational, _at_least, _exact, _Record
+from .rationals import InputError, Rational, _at_least, _common, _exact, _Record
 
 
 class TruncatedSeries(_Record):
@@ -169,16 +169,3 @@ def _square(coeffs: tuple[Fraction, ...]) -> Iterator[Fraction]:
     for k, (x, den) in enumerate(_common(coeffs)):
         middle = 0 if k % 2 else x[k // 2] ** 2
         yield Fraction(2 * sum(map(mul, x[: (k + 1) // 2], reversed(x))) + middle, den * den)
-
-
-def _common(values: Iterable[Fraction]) -> Iterator[tuple[list[int], int]]:
-    """Yield (nums, den) after each value: the values so far as ints over
-    den, the lcm of their denominators, which grows as they arrive."""
-    nums, den = [], 1
-    for value in values:
-        grow = value.denominator // math.gcd(den, value.denominator)
-        if grow != 1:
-            nums = [x * grow for x in nums]
-            den *= grow
-        nums.append(value.numerator * (den // value.denominator))
-        yield nums, den
