@@ -155,6 +155,26 @@ class TestStructure:
             for r in range(1, 31):
                 assert complete_bell(r, xs[:r]) == sum(rows[r])
 
+    @pytest.mark.parametrize("name", ["1/p_i", "x_l at n = 3"])
+    def test_integer_recurrences_on_growing_denominators(self, name):
+        # Each recurrence row is one integer sum over a common denominator:
+        # at x_i = 1/p_i every term brings a new prime into it, and x_l at
+        # n = 3 has numerators that grow like (3l)!. Checked against the
+        # plain Fraction triangle and, at small r, the partition sum.
+        primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))][:30]
+        xs = [Fraction(1, p) for p in primes] if name == "1/p_i" else [
+            normalized_term(3, l) for l in range(1, 31)
+        ]
+        rows = fraction_triangle(xs, 30)
+        for r in range(1, 31):
+            assert complete_bell(r, xs[:r]) == sum(rows[r]), r
+        for r, j in ((30, 1), (30, 2), (30, 15), (30, 29), (30, 30), (21, 7), (17, 16)):
+            assert partial_bell_recurrence(r, j, xs[: r - j + 1]) == rows[r][j], (r, j)
+        for r in range(1, 13):
+            for j in range(1, r + 1):
+                expected = partial_bell_partition(r, j, xs)
+                assert partial_bell_recurrence(r, j, xs[: r - j + 1]) == expected, (r, j)
+
     def test_y2_and_y4_patterns(self):
         rng = random.Random(7)
         for _ in range(20):

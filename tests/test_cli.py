@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import random
 import re
 import shlex
 import shutil
@@ -24,8 +25,9 @@ import calabi_bell.diastasis as diastasis_mod
 import calabi_bell.inequality as inequality_mod
 import calabi_bell.potential as potential_mod
 from calabi_bell.cli import ORDER_CEILING, RMAX_CEILING, build_parser, main
-from calabi_bell.inequality import min_negative_r
+from calabi_bell.inequality import min_negative_r, scan_grid
 from calabi_bell.potential import EVAL_N_CEILING
+from calabi_bell.rationals import format_rational
 
 
 def run_cli(capsys, *argv):
@@ -714,6 +716,20 @@ def _argv(draw, command):
 _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-string digit limit"
+)
+@pytest.mark.parametrize("flag", ["--q", "--grid"])
+def test_rational_past_the_digit_limit_is_a_usage_error(capsys, flag):
+    # parse_rational refuses it with InputError, so argparse reports it as
+    # a usage error instead of the interpreter's advice to lift the limit.
+    code, out, err = run_cli(capsys, "scan", "--n", "2", flag, "1/" + "3" * 5000)
+    assert (code, out) == (1, "")
+    limit = sys.get_int_max_str_digits()
+    message = f"argument {flag}: p or q is past the digit limit {limit}"
+    assert err.splitlines()[-1] == f"calabi-bell scan: error: {message}"
+
+
 class TestExitCodeContract:
     """Every subcommand exits 0 or 1 on any input argparse accepts. Exit 1
     is a refused value: one ``error:`` line and no stdout. Exit 0 prints no
@@ -826,6 +842,11 @@ class TestJsonWriter:
             {"x": 0.5, "u": 1e-300, "big": 1.7976931348623157e308, "zero": -0.0, "inf": math.inf},
             {'quote " and \\': 'quote " backslash \\ tab \t newline \n', "unicode": "λ é ∑ \u2028 😀"},
             {"control": "\x00\x1f\x7f", "ints": [0, -1, 10**40, True], "nested": [[1, [2, []]], {"a": [{}]}]},
+            [{"s": "a\tb", "i": 7, "b": True, "n": None, "f": 2.5}, {"s": "", "b": False, "f": -0.0}],
+            [{"r": 1, "list": [1, "x", None, {"k": []}], "obj": {"k": [{}], "e": {}, "f": 1e-7}}],
+            [{}, [], {"a": {}}, [[]], {"b": []}],
+            [{"r": 1, "S": "1/2"}, 2, "three", None, 4.5, True, [5, {}], {"b": [6]}],
+            [[{"r": 1}], {"rows": [{"r": 2, "S": "-3"}, {}]}],
             "bare string",
             -7,
             2.5,
@@ -1027,3 +1048,122 @@ class TestHarness:
         )
         assert result.returncode == 0
         assert result.stdout == "7\n"
+
+
+# Every argument set of the golden fixture whose rows the handlers render
+# from the library's records, and a few seeded ones.
+RECORD_COMMANDS = ("scan", "hr", "blocks")
+GOLDEN_RECORD_ARGV = sorted(
+    {
+        tuple(case["argv"][: case["argv"].index("--format")])
+        for case in GOLDEN
+        if case["code"] == 0 and case["argv"][0] in RECORD_COMMANDS and "--format" in case["argv"]
+    }
+)
+
+
+def _seeded_record_argv(seed: int) -> list[tuple[str, ...]]:
+    rng = random.Random(seed)
+
+    def ratio(top: int) -> str:
+        return f"{rng.randint(1, top)}/{rng.randint(1, 9)}"
+
+    def count(low: int, high: int) -> str:
+        return str(rng.randint(low, high))
+
+    argvs = [("scan", "--n", count(2, 7), "--q", ratio(60), "--rmax", count(5, 90)) for _ in range(3)]
+    grid = ",".join(ratio(40) for _ in range(rng.randint(2, 4)))
+    argvs.append(("scan", "--n", count(2, 5), "--grid", grid, "--rmax", count(5, 60)))
+    for which in ("--rmax", "--r"):
+        params = ("--n", count(2, 6), "--k0", ratio(9), "--c", ratio(9), "--m", ratio(9))
+        argvs.append(("hr", *params, which, count(1, 40)))
+    for _ in range(2):
+        blocks = ("--d", count(1, 4), "--lambda", count(1, 3), "--c", ratio(9))
+        argvs.append(("blocks", *blocks, "--rmax", count(1, 12)))
+    return argvs
+
+
+def _library_rows(argv: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The value columns of each output row, from the library's own records
+    written by ``format_rational``: (q, r, S), (r, h) or (r, exponent,
+    scale, verdict)."""
+    args = build_parser().parse_args(argv)
+    fr = format_rational
+    if args.command == "scan":
+        reports = scan_grid(args.n, list(args.grid), args.rmax) if args.grid else [
+            min_negative_r(args.n, args.q, args.rmax)
+        ]
+        return [(fr(report.q), str(r), fr(s)) for report in reports for r, s in report.rows]
+    if args.command == "hr":
+        params = potential_mod.CalabiParams(args.n, args.k0, args.c)
+        values = potential_mod.h_values(params, args.m, args.r or args.rmax)
+        indexed = [(args.r, values[-1])] if args.r else enumerate(values, 1)
+        return [(str(r), fr(h)) for r, h in indexed]
+    base = diastasis_mod.FubiniStudyBase(args.d, args.multiple)
+    report = diastasis_mod.eh_block_scan(base, args.c, args.rmax, args.cutoff)
+    return [(str(b.r), fr(b.exponent), fr(b.scale), b.verdict) for b in report.blocks]
+
+
+def _tab_rows(table: str, header: str) -> list[tuple[str, ...]]:
+    """The tab-separated rows under each ``header`` line of a table."""
+    rows, inside = [], False
+    for line in table.splitlines():
+        if line == header:
+            inside = True
+        elif inside and "\t" in line:
+            rows.append(tuple(line.split("\t")))
+        else:
+            inside = False
+    return rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    GOLDEN_RECORD_ARGV + _seeded_record_argv(29) + _seeded_record_argv(30),
+    ids=" ".join,
+)
+def test_table_and_csv_rows_equal_the_json_payload(argv):
+    """Table and CSV lines are written from the library's records, JSON
+    from its payload: the value columns of all three, row for row, equal
+    ``format_rational`` of the library's values."""
+    outs = {}
+    for fmt in ("table", "json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--format", fmt]) == 0
+        outs[fmt] = out.getvalue()
+    expected = _library_rows(argv)
+    payload = json.loads(outs["json"])
+    csv_rows = [tuple(row) for row in csv.reader(io.StringIO(outs["csv"]))][1:]
+    command, grid, single = argv[0], "--grid" in argv, argv[0] == "hr" and "--r" in argv
+    if command == "scan":
+        payloads = payload if grid else [payload]
+        json_rows = [(p["q"], str(row["r"]), row["S"]) for p in payloads for row in p["rows"]]
+        assert _tab_rows(outs["table"], "r\tS") == [row[1:] for row in expected]
+        heads = [line for line in outs["table"].splitlines() if line.startswith("n = ")]
+        assert [head.split("  ")[1] for head in heads] == [f"q = {p['q']}" for p in payloads]
+        assert csv_rows == (expected if grid else [row[1:] for row in expected])
+    elif command == "hr":
+        json_rows = [(str(v["r"]), v["h"]) for v in payload["values"]]
+        table = outs["table"].splitlines()
+        assert (table if single else _tab_rows(outs["table"], "r\th")) == (
+            [h for _, h in expected] if single else expected
+        )
+        assert csv_rows == expected
+    else:
+        blocks = payload.get("blocks", [])
+        json_rows = [(str(b["r"]), b["exponent"], b["scale"], b["verdict"]) for b in blocks]
+        assert _tab_rows(outs["table"], "r\texponent\tscale\tverdict") == expected
+        assert csv_rows == expected
+    assert json_rows == expected
+    assert expected or (command == "blocks" and payload["integrality_failure"])
+
+
+def test_record_argv_cover_every_render_path():
+    argvs = GOLDEN_RECORD_ARGV + _seeded_record_argv(29) + _seeded_record_argv(30)
+    assert {argv[0] for argv in argvs} == set(RECORD_COMMANDS)
+    assert any("--grid" in argv for argv in argvs) and any("--q" in argv for argv in argvs)
+    hr_flags = {argv[-2] for argv in argvs if argv[0] == "hr"}
+    assert hr_flags == {"--r", "--rmax"}
+    failures = [argv for argv in argvs if argv[0] == "blocks" and not _library_rows(argv)]
+    assert failures and len(failures) < sum(argv[0] == "blocks" for argv in argvs)

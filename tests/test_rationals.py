@@ -8,12 +8,14 @@ pair and generalized binomials.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from calabi_bell.potential import CalabiParams
 from calabi_bell.rationals import (
     InputError,
     _at_least,
@@ -213,3 +215,23 @@ class TestInputRules:
             _positive(0.5, "q")
         with pytest.raises(InputError, match="not a rational"):
             _positive("0.5", "q")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-string digit limit"
+    )
+    @pytest.mark.parametrize(
+        "text", ["1" * 5000, "-" + "7" * 5000, "3/" + "1" * 5000, "1" * 5000 + "/" + "3" * 5000]
+    )
+    def test_digits_past_the_interpreter_limit(self, text):
+        # int() refuses a string past sys.get_int_max_str_digits() with a
+        # plain ValueError; the library refuses it as its own InputError.
+        limit = sys.get_int_max_str_digits()
+        expected = f"p or q is past the digit limit {limit}"
+        with pytest.raises(InputError) as caught:
+            parse_rational(text)
+        assert str(caught.value) == expected
+        with pytest.raises(InputError, match=expected):
+            CalabiParams(2, text, 1)
+        with pytest.raises(InputError, match=expected):
+            CalabiParams(2, 1, text)
+        assert parse_rational("1" * limit) == int("1" * limit)
